@@ -27,22 +27,6 @@ from .fp_linalg import (FpMatrix, Subspace, is_prime, nullspace_basis, solve)
 Vector = tuple[int, ...]
 
 
-def _decode_vector(value: int, p: int, d: int) -> Vector:
-    digits = []
-    for _ in range(d):
-        digits.append(value % p)
-        value //= p
-    digits.reverse()
-    return tuple(digits)
-
-
-def _encode_vector(vec: Sequence[int], p: int) -> int:
-    value = 0
-    for x in vec:
-        value = value * p + x % p
-    return value
-
-
 @dataclass(frozen=True)
 class AffineAlgebra:
     """Affine local rule over F_p^d: one matrix per position plus a constant.
@@ -102,10 +86,10 @@ class AffineAlgebra:
         return self.components[i + self.r]
 
     def encode_state(self, vec: Sequence[int]) -> int:
-        return _encode_vector(vec, self.p)
+        return ca_core.encode_word([x % self.p for x in vec], self.p)
 
     def decode_state(self, value: int) -> Vector:
-        return _decode_vector(value, self.p, self.d)
+        return ca_core.decode_word(value, self.p, self.d)
 
     def apply_vectors(self, vectors: Sequence[Sequence[int]]) -> Vector:
         if self.d == 0:
@@ -200,7 +184,7 @@ def to_table(algebra: AffineAlgebra | CanonicalAdditive, caps: Caps = DEFAULT_CA
     require(m ** arity <= caps.table_cap,
             f"affine truth table needs {m ** arity} entries, cap {caps.table_cap}")
     # per-position lookup: state value -> encoded image under that component
-    vectors = [_decode_vector(v, p, d) for v in range(m)]
+    vectors = [ca_core.decode_word(v, p, d) for v in range(m)]
     images = [[mat.apply(vec) for vec in vectors] for mat in algebra.components]
     constant = algebra.constant
     table = []
@@ -210,7 +194,7 @@ def to_table(algebra: AffineAlgebra | CanonicalAdditive, caps: Caps = DEFAULT_CA
             img = images[pos][state]
             for t in range(d):
                 acc[t] = acc[t] + img[t]
-        table.append(_encode_vector([x % p for x in acc], p))
+        table.append(ca_core.encode_word([x % p for x in acc], p))
     return LocalAlgebra(m, algebra.r, tuple(table))
 
 
@@ -239,14 +223,14 @@ def fit_affine(algebra: LocalAlgebra, p: int) -> AffineAlgebra | None:
     arity = algebra.arity
     m = algebra.m
     zero_nb = [0] * arity
-    constant = _decode_vector(algebra.apply(zero_nb), p, d)
+    constant = ca_core.decode_word(algebra.apply(zero_nb), p, d)
     components = []
     for pos in range(arity):
         cols = []
         for t in range(d):
             nb = zero_nb[:]
             nb[pos] = p ** (d - 1 - t)  # the one-hot vector e_t, encoded
-            image = _decode_vector(algebra.apply(nb), p, d)
+            image = ca_core.decode_word(algebra.apply(nb), p, d)
             cols.append(tuple((x - c) % p for x, c in zip(image, constant)))
         components.append(FpMatrix(p, d, d, tuple(zip(*cols))))
     candidate = AffineAlgebra(p, d, algebra.r, tuple(components), constant)
@@ -268,17 +252,11 @@ def fit_canonical_additive(algebra: LocalAlgebra) -> CanonicalAdditive | None:
 
 def _relabeled_table(algebra: LocalAlgebra, sigma: Sequence[int]) -> LocalAlgebra:
     """The algebra with states renamed by sigma: f'(sigma x) = sigma f(x)."""
-    m, arity = algebra.m, algebra.arity
-    inverse = [0] * m
+    inverse = [0] * algebra.m
     for s, image in enumerate(sigma):
         inverse[image] = s
-    table = [0] * len(algebra.table)
-    for nb in itertools.product(range(m), repeat=arity):
-        idx = 0
-        for y in nb:
-            idx = idx * m + y
-        table[idx] = sigma[algebra.apply([inverse[y] for y in nb])]
-    return LocalAlgebra(m, algebra.r, tuple(table))
+    return LocalAlgebra(algebra.m, algebra.r,
+                        tuple(sigma[out] for out in ca_core.outputs_on(algebra, inverse)))
 
 
 def is_affine_up_to_iso(algebra: LocalAlgebra, p: int,
@@ -511,9 +489,9 @@ def interleaving_bijection(block: int, copies: int, m: int) -> Vector:
     size = m ** total
     result = []
     for value in range(size):
-        cells = _decode_vector(value, m, total)
+        cells = ca_core.decode_word(value, m, total)
         transposed = [cells[b * copies + u] for u in range(copies) for b in range(block)]
-        result.append(_encode_vector(transposed, m))
+        result.append(ca_core.encode_word(transposed, m))
     return tuple(result)
 
 
@@ -563,13 +541,7 @@ def _bijection_conjugates(a: LocalAlgebra, b: LocalAlgebra, phi: Sequence[int]) 
     """Does phi satisfy phi(f(x)) = g(phi(x)) on every neighborhood?"""
     if a.m != b.m or a.r != b.r:
         return False
-    m, arity = a.m, a.arity
-    if list(phi) == list(range(m)):
-        return a.table == b.table
-    for nb in itertools.product(range(m), repeat=arity):
-        if phi[a.apply(nb)] != b.apply([phi[x] for x in nb]):
-            return False
-    return True
+    return [phi[x] for x in a.table] == ca_core.outputs_on(b, phi)
 
 
 def _check_invariant(algebra: AffineAlgebra, space: Subspace) -> None:
@@ -615,21 +587,13 @@ def subalgebra_affine(algebra: AffineAlgebra, space: Subspace, anchor: Sequence[
     return result
 
 
-def _coset_states(algebra: AffineAlgebra, space: Subspace, anchor: Vector) -> list[int]:
-    p = algebra.p
-    states = []
-    for w in space.vectors():
-        states.append(algebra.encode_state([(a + b) % p for a, b in zip(anchor, w)]))
-    return states
-
-
 def _verify_coset_embedding(algebra: AffineAlgebra, space: Subspace, anchor: Vector,
                             sub: AffineAlgebra, caps: Caps) -> None:
     p = algebra.p
     sub_table = to_table(sub, caps)
     embed = []
     for t in range(sub_table.m):
-        coords = _decode_vector(t, p, sub.d)
+        coords = ca_core.decode_word(t, p, sub.d)
         vec = list(anchor)
         for c, w in zip(coords, space.basis):
             for idx in range(algebra.d):
@@ -638,7 +602,8 @@ def _verify_coset_embedding(algebra: AffineAlgebra, space: Subspace, anchor: Vec
     for nb in itertools.product(range(sub_table.m), repeat=sub_table.arity):
         expected = algebra.apply_vectors([embed[t] for t in nb])
         actual = embed[sub_table.apply(nb)]
-        assert actual == expected, "coset embedding failed to commute"
+        if actual != expected:
+            raise RuntimeError(f"coset embedding failed to commute on {nb}")
 
 
 def quotient_affine(algebra: AffineAlgebra, space: Subspace,
@@ -699,7 +664,7 @@ def coset_congruence(algebra: AffineAlgebra, space: Subspace,
     pivots = space.pivots()
     blocks: dict[Vector, list[int]] = {}
     for value in range(table.m):
-        vec = list(_decode_vector(value, p, d))
+        vec = list(ca_core.decode_word(value, p, d))
         for w, pivot in zip(space.basis, pivots):
             factor = vec[pivot]
             if factor:
@@ -804,9 +769,8 @@ def affine_isomorphism(a: AffineAlgebra, b: AffineAlgebra,
             continue
         bijection = []
         for value in range(a.m):
-            vec = _decode_vector(value, p, d)
-            image = matrix.apply(vec)
-            bijection.append(_encode_vector(
+            image = matrix.apply(ca_core.decode_word(value, p, d))
+            bijection.append(ca_core.encode_word(
                 [(x + u) % p for x, u in zip(image, translation)], p))
         return tuple(bijection)
     return None

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, require
+from .fp_linalg import join_closure
 
 Word = tuple[int, ...]
 
@@ -97,17 +98,10 @@ class LocalAlgebra:
         return LocalAlgebra(m, r, table)
 
     def apply(self, neighborhood: Sequence[int]) -> int:
-        m = self.m
-        idx = 0
-        for x in neighborhood:
-            idx = idx * m + x
-        return self.table[idx]
+        return self.table[encode_word(neighborhood, self.m)]
 
     def neighborhoods(self) -> Iterator[Word]:
         return itertools.product(range(self.m), repeat=self.arity)
-
-    def is_singleton(self) -> bool:
-        return self.m == 1
 
     def states(self) -> range:
         return range(self.m)
@@ -118,6 +112,22 @@ class LocalAlgebra:
         else:
             body = f"<{len(self.table)} entries>"
         return f"LocalAlgebra(m={self.m}, r={self.r}, table={body})"
+
+
+def outputs_on(algebra: LocalAlgebra, states: Sequence[int]) -> list[int]:
+    """The rule on every neighborhood over a list of states.
+
+    Entry v is f(states[d_1], ..., states[d_k]) where (d_1, ..., d_k) is
+    v in base len(states), leftmost digit most significant; the states
+    may repeat.  This is the one table-evaluation kernel that products,
+    restrictions, quotients and relabelings are built on.
+    """
+    m = algebra.m
+    idx = [0]
+    for _ in range(algebra.arity):
+        idx = [i * m + s for i in idx for s in states]
+    table = algebra.table
+    return [table[i] for i in idx]
 
 
 def eca(number: int) -> LocalAlgebra:
@@ -179,14 +189,7 @@ def _pass_lut(algebra: LocalAlgebra, length: int) -> list[int]:
     window = m ** (arity - 1)
     out_positions = length - 2 * r
     lut = [0] * size
-    digits = [0] * length
-    for value in range(size):
-        if value:
-            k = length - 1
-            while digits[k] == m - 1:
-                digits[k] = 0
-                k -= 1
-            digits[k] += 1
+    for value, digits in enumerate(itertools.product(range(m), repeat=length)):
         idx = 0
         for x in digits[:arity - 1]:
             idx = idx * m + x
@@ -248,36 +251,19 @@ def product(algebras: Sequence[LocalAlgebra], caps: Caps = DEFAULT_CAPS) -> Loca
     for a in algebras:
         if a.r != r:
             raise ValueError("product factors must share one radius")
-    sizes = [a.m for a in algebras]
     m_total = 1
-    for s in sizes:
-        m_total *= s
-    arity = 2 * r + 1
-    require(m_total ** arity <= caps.table_cap,
-            f"product table needs {m_total ** arity} entries, cap {caps.table_cap}")
-    # decode lookup: combined state -> per-factor states
-    decode: list[tuple[int, ...]] = []
-    for value in range(m_total):
-        parts = []
-        v = value
-        for s in reversed(sizes):
-            parts.append(v % s)
-            v //= s
-        parts.reverse()
-        decode.append(tuple(parts))
-    tables = [a.table for a in algebras]
-    k = len(algebras)
-    table = []
-    for nb in itertools.product(range(m_total), repeat=arity):
-        parts = [decode[x] for x in nb]
-        value = 0
-        for t in range(k):
-            mt = sizes[t]
-            idx = 0
-            for cell in parts:
-                idx = idx * mt + cell[t]
-            value = value * mt + tables[t][idx]
-        table.append(value)
+    for a in algebras:
+        m_total *= a.m
+    entries = m_total ** (2 * r + 1)
+    require(entries <= caps.table_cap,
+            f"product table needs {entries} entries, cap {caps.table_cap}")
+    # each factor runs on its own mixed-radix digit of every combined state
+    table = [0] * entries
+    place = m_total
+    for a in algebras:
+        place //= a.m
+        digits = [(v // place) % a.m for v in range(m_total)]
+        table = [v * a.m + out for v, out in zip(table, outputs_on(a, digits))]
     return LocalAlgebra(m_total, r, tuple(table))
 
 
@@ -377,12 +363,10 @@ def evolve(algebra: LocalAlgebra, word: Sequence[int], background: int = 0,
         prev, b = windows[-1], backgrounds[t]
         padded = (b,) * (2 * r) + prev + (b,) * (2 * r)
         windows.append(unravel(algebra, padded, 1))
-    full_width = len(word) + 2 * steps * r
     rows = []
     for t, win in enumerate(windows):
         pad = (steps - t) * r
         rows.append((backgrounds[t],) * pad + win + (backgrounds[t],) * pad)
-        assert len(rows[-1]) == full_width
     return SpaceTimeDiagram(m, tuple(rows), -steps * r, tuple(backgrounds), "background")
 
 
@@ -438,9 +422,6 @@ class Congruence:
             for x in block:
                 label[x] = k
         return label
-
-    def is_discrete(self) -> bool:
-        return len(self.blocks) == self.algebra.m
 
     def is_full(self) -> bool:
         return len(self.blocks) == 1
@@ -538,26 +519,12 @@ def enumerate_congruences(algebra: LocalAlgebra, caps: Caps = DEFAULT_CAPS) -> l
     m = algebra.m
     require(m <= caps.congruence_cap,
             f"congruence enumeration needs m <= {caps.congruence_cap}, got {m}")
-    discrete = tuple((x,) for x in range(m))
-    found: dict[tuple, tuple[Word, ...]] = {discrete: discrete}
-    principals = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            part = _principal_congruence(algebra, a, b)
-            if part not in found:
-                found[part] = part
-                principals.append(part)
-    pending = list(principals)
-    while pending:
-        require(len(found) <= caps.lattice_cap,
-                f"congruence lattice exceeds {caps.lattice_cap} members")
-        current = pending.pop()
-        for other in list(found.values()):
-            joined = _join_partitions(current, other, m)
-            if joined not in found:
-                found[joined] = joined
-                pending.append(joined)
-    ordered = sorted(found.values(), key=lambda part: (-len(part), part))
+    principals = [_principal_congruence(algebra, a, b)
+                  for a in range(m) for b in range(a + 1, m)]
+    found = join_closure(tuple((x,) for x in range(m)), principals,
+                         lambda p1, p2: _join_partitions(p1, p2, m),
+                         caps.lattice_cap, "congruence lattice")
+    ordered = sorted(found, key=lambda part: (-len(part), part))
     return [Congruence(algebra, part) for part in ordered]
 
 
@@ -567,11 +534,8 @@ def quotient(algebra: LocalAlgebra, congruence: Congruence) -> LocalAlgebra:
         raise ValueError("congruence belongs to a different algebra")
     label = congruence.class_labels()
     reps = [block[0] for block in congruence.blocks]
-    k = len(reps)
-    table = tuple(
-        label[algebra.apply([reps[x] for x in nb])]
-        for nb in itertools.product(range(k), repeat=algebra.arity))
-    return LocalAlgebra(k, algebra.r, table)
+    return LocalAlgebra(len(reps), algebra.r,
+                        tuple(label[out] for out in outputs_on(algebra, reps)))
 
 
 def _subalgebra_closure(algebra: LocalAlgebra, seed: Iterable[int]) -> tuple[int, ...]:
@@ -634,15 +598,19 @@ def enumerate_subalgebras(algebra: LocalAlgebra, caps: Caps = DEFAULT_CAPS) -> l
 def restrict(algebra: LocalAlgebra, carrier: Sequence[int]) -> LocalAlgebra:
     """Subalgebra on `carrier`, relabeled to 0..|carrier|-1 in carrier order."""
     carrier = tuple(sorted(carrier))
-    index = {s: i for i, s in enumerate(carrier)}
     k = len(carrier)
-    table = []
-    for nb in itertools.product(carrier, repeat=algebra.arity):
-        out = algebra.apply(nb)
-        if out not in index:
-            raise ValueError(f"carrier {carrier} is not closed: f{nb} = {out}")
-        table.append(index[out])
-    return LocalAlgebra(k, algebra.r, tuple(table))
+    if len(set(carrier)) != k or not set(carrier) <= set(range(algebra.m)):
+        raise ValueError(f"carrier {carrier} is not a set of states below {algebra.m}")
+    index = [-1] * algebra.m
+    for i, s in enumerate(carrier):
+        index[s] = i
+    outputs = outputs_on(algebra, carrier)
+    table = tuple(index[out] for out in outputs)
+    if -1 in table:
+        v = table.index(-1)
+        nb = tuple(carrier[d] for d in decode_word(v, k, algebra.arity))
+        raise ValueError(f"carrier {carrier} is not closed: f{nb} = {outputs[v]}")
+    return LocalAlgebra(k, algebra.r, table)
 
 
 def idempotents(algebra: LocalAlgebra) -> list[int]:

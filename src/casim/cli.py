@@ -24,7 +24,7 @@ from . import affine_ca, ca_core, simulation
 from .affine_ca import AffineAlgebra, CanonicalAdditive
 from .ca_core import LocalAlgebra, SpaceTimeDiagram
 from .caps import DEFAULT_CAPS, CapExceeded, Caps
-from .fp_linalg import FpMatrix, common_invariant_subspaces, is_simple
+from .fp_linalg import FpMatrix, common_invariant_subspaces, is_simple, smallest_prime_factor
 
 
 class FormatError(Exception):
@@ -173,6 +173,17 @@ def as_table(algebra: LocalAlgebra | AffineAlgebra, caps: Caps = DEFAULT_CAPS) -
     if isinstance(algebra, AffineAlgebra):
         return affine_ca.to_table(algebra, caps)
     return algebra
+
+
+def as_affine(algebra: LocalAlgebra | AffineAlgebra) -> AffineAlgebra:
+    """The affine form, fitted over the least prime dividing a table's
+    state count, or a ValueError."""
+    if isinstance(algebra, AffineAlgebra):
+        return algebra
+    affine = affine_ca.fit_affine(algebra, smallest_prime_factor(algebra.m))
+    if affine is None:
+        raise ValueError("input is not affine under the positional encoding")
+    return affine
 
 
 def as_canonical(algebra: LocalAlgebra | AffineAlgebra) -> CanonicalAdditive:
@@ -407,13 +418,6 @@ def _cmd_fit_affine(io: _Io, caps: Caps) -> int:
     return 0
 
 
-def _infer_prime(m: int) -> int:
-    for p in range(2, m + 1):
-        if m % p == 0:
-            return p
-    raise ValueError("state count 1 has no prime base")
-
-
 def _cmd_e0(io: _Io) -> int:
     rule = as_canonical(io.primary_algebra())
     profile = affine_ca.e0_evolution(rule, io.args.n)
@@ -435,12 +439,7 @@ def _cmd_matrices(io: _Io, caps: Caps) -> int:
         matrices = affine_ca.component_matrices(rule, io.args.n)
         r = rule.r
     else:
-        if isinstance(algebra, AffineAlgebra):
-            affine = algebra
-        else:
-            affine = affine_ca.fit_affine(algebra, _infer_prime(algebra.m))
-            if affine is None:
-                raise ValueError("input is not affine; cannot print component matrices")
+        affine = as_affine(algebra)
         matrices = [affine.component(i) for i in range(-affine.r, affine.r + 1)]
         r = affine.r
     for i, mat in zip(range(-r, r + 1), matrices):
@@ -488,13 +487,7 @@ def _cmd_split(io: _Io, caps: Caps) -> int:
 
 
 def _cmd_classify(io: _Io) -> int:
-    algebra = io.primary_algebra()
-    if isinstance(algebra, LocalAlgebra):
-        affine = affine_ca.fit_affine(algebra, _infer_prime(algebra.m))
-        if affine is None:
-            raise ValueError("input is not affine under the positional encoding")
-    else:
-        affine = algebra
+    affine = as_affine(io.primary_algebra())
     record = affine_ca.classify_affine(affine)
     io.emit(f"p {record.p}\ndim {record.d}\nradius {record.r}\n")
     io.emit("component-bijective " + " ".join(
@@ -516,6 +509,10 @@ def _bounds_from_args(args: argparse.Namespace) -> simulation.SearchBounds:
     return simulation.SearchBounds(args.n_max, args.k_max, args.size_cap)
 
 
+def _bounds_json(bounds: simulation.SearchBounds) -> dict:
+    return {"n_max": bounds.n_max, "k_max": bounds.k_max, "size_cap": bounds.size_cap}
+
+
 def _cmd_simulates(io: _Io, caps: Caps) -> int:
     simulator = as_table(io.primary_algebra(), caps)
     target = as_table(io.file_algebra(io.args.target), caps)
@@ -525,8 +522,7 @@ def _cmd_simulates(io: _Io, caps: Caps) -> int:
         payload = {
             "command": "simulates",
             "inputs": {"target_states": target.m, "simulator_states": simulator.m},
-            "bounds": {"n_max": bounds.n_max, "k_max": bounds.k_max,
-                       "size_cap": bounds.size_cap},
+            "bounds": _bounds_json(bounds),
             "result": verdict.outcome,
         }
         if verdict.witness is not None:
@@ -570,8 +566,7 @@ def _cmd_verify(io: _Io, caps: Caps) -> int:
             _json_report(io, {
                 "command": "verify characterization",
                 "inputs": {"p": rule.p, "coefficients": list(rule.coefficients)},
-                "bounds": {"n_max": bounds.n_max, "k_max": bounds.k_max,
-                           "size_cap": bounds.size_cap},
+                "bounds": _bounds_json(bounds),
                 "result": "pass" if report.passed else "fail",
                 "items": items,
             })
@@ -582,12 +577,7 @@ def _cmd_verify(io: _Io, caps: Caps) -> int:
         _result_line(io, "PASS" if report.passed else "FAIL")
         return 0 if report.passed else 1
     # affine-closure
-    if isinstance(algebra, LocalAlgebra):
-        affine = affine_ca.fit_affine(algebra, _infer_prime(algebra.m))
-        if affine is None:
-            raise ValueError("input is not affine under the positional encoding")
-    else:
-        affine = algebra
+    affine = as_affine(algebra)
     report = simulation.verify_affine_closure(affine, bounds, caps)
     if not report.applicable:
         io.emit("NOT APPLICABLE: the rule lacks bijective outermost components "
@@ -596,8 +586,7 @@ def _cmd_verify(io: _Io, caps: Caps) -> int:
         _json_report(io, {
             "command": "verify affine-closure",
             "inputs": {"p": affine.p, "dim": affine.d, "radius": affine.r},
-            "bounds": {"n_max": bounds.n_max, "k_max": bounds.k_max,
-                       "size_cap": bounds.size_cap},
+            "bounds": _bounds_json(bounds),
             "result": "pass" if report.passed else "fail",
             "items": [{
                 "derivation": item.derivation.describe(),

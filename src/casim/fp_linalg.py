@@ -9,12 +9,14 @@ exactly when their fields compare equal.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .caps import DEFAULT_CAPS, Caps, require
 
 Vector = tuple[int, ...]
+Member = TypeVar("Member", bound=Hashable)
 
 
 def is_prime(p: int) -> bool:
@@ -27,6 +29,12 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def smallest_prime_factor(m: int) -> int:
+    if m < 2:
+        raise ValueError(f"state count {m} has no prime base")
+    return next(p for p in range(2, m + 1) if m % p == 0)
 
 
 def _check_prime(p: int) -> None:
@@ -258,9 +266,6 @@ class Subspace:
                     residue[i] = (residue[i] - factor * b) % p
         return all(x == 0 for x in residue)
 
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
     def join(self, other: "Subspace") -> "Subspace":
         if (self.p, self.ambient) != (other.p, other.ambient):
             raise ValueError("subspaces live in different ambient spaces")
@@ -277,21 +282,13 @@ class Subspace:
     def vectors(self) -> Iterator[Vector]:
         """All p^dim member vectors, in lexicographic coefficient order."""
         p, ambient = self.p, self.ambient
-        coeffs = [0] * self.dim
-        while True:
+        for coeffs in itertools.product(range(p), repeat=self.dim):
             vec = [0] * ambient
             for c, row in zip(coeffs, self.basis):
                 if c:
                     for i, b in enumerate(row):
                         vec[i] = (vec[i] + c * b) % p
             yield tuple(vec)
-            k = self.dim - 1
-            while k >= 0 and coeffs[k] == p - 1:
-                coeffs[k] = 0
-                k -= 1
-            if k < 0:
-                return
-            coeffs[k] += 1
 
     def sort_key(self) -> tuple:
         return (self.dim, self.basis)
@@ -304,15 +301,42 @@ class Subspace:
 
 def one_dim_representatives(p: int, n: int) -> Iterator[Vector]:
     """One normalized vector (first nonzero entry 1) per line of F_p^n."""
-    for value in range(1, p ** n):
-        digits = []
-        v = value
-        for _ in range(n):
-            digits.append(v % p)
-            v //= p
-        digits.reverse()
-        if next(x for x in digits if x) == 1:
-            yield tuple(digits)
+    vectors = itertools.product(range(p), repeat=n)
+    next(vectors)  # the zero vector spans no line
+    for vec in vectors:
+        if next(x for x in vec if x) == 1:
+            yield vec
+
+
+def join_closure(bottom: Member, generators: Iterable[Member],
+                 join: Callable[[Member, Member], Member], limit: int,
+                 what: str) -> list[Member]:
+    """The lattice generated by `generators` under `join`, with `bottom`
+    as the empty join, in breadth-first discovery order.
+
+    Every member is a join of generators, so joining each member with
+    the generators alone reaches all of them (Freese, "Computing
+    congruences efficiently", Algebra Universalis 59, 2008).  Raises
+    CapExceeded on the insert that takes the lattice past `limit`
+    members.
+    """
+    members = [bottom]
+    seen = {bottom}
+    gens = []
+    for gen in generators:
+        if gen not in seen:
+            seen.add(gen)
+            gens.append(gen)
+    members.extend(gens)
+    require(len(members) <= limit, f"{what} exceeds {limit} members")
+    for current in members:  # grows while iterated: breadth first
+        for gen in gens:
+            joined = join(current, gen)
+            if joined not in seen:
+                require(len(members) < limit, f"{what} exceeds {limit} members")
+                seen.add(joined)
+                members.append(joined)
+    return members
 
 
 def _check_maps(maps: Sequence[FpMatrix], n: int, p: int | None) -> int:
@@ -368,23 +392,11 @@ def common_invariant_subspaces(maps: Sequence[FpMatrix], n: int, *, p: int | Non
     reps = (p ** n - 1) // (p - 1)
     require(reps <= caps.onedim_cap,
             f"{reps} one-dimensional subspaces exceed cap {caps.onedim_cap}")
-    closures: dict[tuple, Subspace] = {}
-    for v in one_dim_representatives(p, n):
-        space = invariant_closure([v], maps, p=p, ambient=n)
-        closures.setdefault(space.basis, space)
-    lattice: dict[tuple, Subspace] = {(): Subspace.zero(p, n)}
-    worklist = list(closures.values())
-    for space in worklist:
-        lattice[space.basis] = space
-    pending = list(worklist)
-    while pending:
-        current = pending.pop()
-        for other in list(lattice.values()):
-            joined = current.join(other)
-            if joined.basis not in lattice:
-                lattice[joined.basis] = joined
-                pending.append(joined)
-    return sorted(lattice.values(), key=Subspace.sort_key)
+    closures = (invariant_closure([v], maps, p=p, ambient=n)
+                for v in one_dim_representatives(p, n))
+    lattice = join_closure(Subspace.zero(p, n), closures, Subspace.join,
+                           caps.lattice_cap, "invariant-subspace lattice")
+    return sorted(lattice, key=Subspace.sort_key)
 
 
 def is_simple(maps: Sequence[FpMatrix], n: int, *, p: int | None = None) -> bool:
@@ -399,7 +411,7 @@ def is_simple(maps: Sequence[FpMatrix], n: int, *, p: int | None = None) -> bool
     return True
 
 
-def all_subspaces(p: int, n: int, *, caps: Caps = DEFAULT_CAPS) -> list[Subspace]:
+def all_subspaces(p: int, n: int) -> list[Subspace]:
     """Every subspace of F_p^n, by join-closure of the one-dimensional
     subspaces.  Exhaustive-oracle helper, intended for p^n <= 81."""
     _check_prime(p)

@@ -10,22 +10,23 @@ characterization and affine-closure theorem checks as replayable
 reports.
 
 Yes verdicts always carry a witness chain that can be replayed step by
-step; No verdicts are only produced from a complete argument (the exact
-characterization, or a simulator whose closure is provably exhausted);
-everything else is Unknown with the bounds that were searched.
+step; No verdicts are only produced from a complete argument (a
+singleton simulator, or the exact characterization of doubly bijective
+canonical additive simulators); everything else is Unknown with the
+bounds that were searched.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import affine_ca, ca_core
 from .affine_ca import AffineAlgebra, CanonicalAdditive
 from .ca_core import Congruence, LocalAlgebra, Word
 from .caps import DEFAULT_CAPS, CapExceeded, Caps, require
-from .fp_linalg import FpMatrix, Subspace
+from .fp_linalg import FpMatrix, Subspace, smallest_prime_factor
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,31 @@ class Derivation:
         return f"{powers}; carrier {carrier}; classes {partition}"
 
 
+class _Powers:
+    """Iterative powers B^[n] of one generator, each built once, and the
+    products of them that derivations name."""
+
+    def __init__(self, generator: LocalAlgebra, caps: Caps) -> None:
+        self.generator = generator
+        self.caps = caps
+        self._built: dict[int, LocalAlgebra] = {}
+
+    def power(self, n: int) -> LocalAlgebra:
+        if n not in self._built:
+            self._built[n] = ca_core.iterative_power(self.generator, n, self.caps)
+        return self._built[n]
+
+    def product(self, exponents: Sequence[int]) -> LocalAlgebra:
+        """B^[n_1] x ... x B^[n_k]; a single factor is returned as is."""
+        if len(exponents) == 1:
+            return self.power(exponents[0])
+        return ca_core.product([self.power(n) for n in exponents], self.caps)
+
+
 def replay_derivation(generator: LocalAlgebra, derivation: Derivation,
                       caps: Caps = DEFAULT_CAPS) -> LocalAlgebra:
     """Rebuild the algebra a derivation describes, from scratch."""
-    factors = [ca_core.iterative_power(generator, n, caps) for n in derivation.powers]
-    algebra = ca_core.product(factors, caps) if len(factors) > 1 else factors[0]
+    algebra = _Powers(generator, caps).product(derivation.powers)
     algebra = ca_core.restrict(algebra, derivation.carrier)
     congruence = Congruence(algebra, derivation.partition)
     return ca_core.quotient(algebra, congruence)
@@ -121,12 +142,10 @@ class _IsoMatcher:
         key = (algebra.m, algebra.r, algebra.table)
         if key not in self._affine_cache:
             form = None
-            m = algebra.m
-            for p in range(2, m + 1):
-                if m % p == 0:
-                    if affine_ca.is_prime(p) and affine_ca._dimension_over(m, p) is not None:
-                        form = affine_ca.fit_affine(algebra, p)
-                    break
+            if algebra.m > 1:
+                p = smallest_prime_factor(algebra.m)
+                if affine_ca._dimension_over(algebra.m, p) is not None:
+                    form = affine_ca.fit_affine(algebra, p)
             self._affine_cache[key] = form
         return self._affine_cache[key]
 
@@ -166,7 +185,7 @@ def closure_members(generator: LocalAlgebra, bounds: SearchBounds = DEFAULT_BOUN
     # skipping by the stated bounds is not incompleteness; only internal
     # cap truncation makes the inventory partial
     complete = True
-    powers: dict[int, LocalAlgebra] = {}
+    exponents = []
     for n in range(1, bounds.n_max + 1):
         size = generator.m ** n
         if size > size_cap:
@@ -174,7 +193,8 @@ def closure_members(generator: LocalAlgebra, bounds: SearchBounds = DEFAULT_BOUN
         if size ** generator.arity > caps.table_cap:
             complete = False
             continue
-        powers[n] = ca_core.iterative_power(generator, n, caps)
+        exponents.append(n)
+    powers = _Powers(generator, caps)
 
     members: list[ClosureMember] = []
     by_fingerprint: dict[tuple, list[int]] = {}
@@ -191,17 +211,14 @@ def closure_members(generator: LocalAlgebra, bounds: SearchBounds = DEFAULT_BOUN
     seen_products: set[tuple] = set()
     seen_restrictions: set[tuple] = set()
     for k in range(1, bounds.k_max + 1):
-        for multiset in itertools.combinations_with_replacement(sorted(powers), k):
-            size = 1
-            for n in multiset:
-                size *= powers[n].m
+        for multiset in itertools.combinations_with_replacement(exponents, k):
+            size = generator.m ** sum(multiset)
             if size > size_cap:
                 continue
             if size ** generator.arity > caps.table_cap:
                 complete = False
                 continue
-            factors = [powers[n] for n in multiset]
-            prod = ca_core.product(factors, caps) if k > 1 else factors[0]
+            prod = powers.product(multiset)
             key = (prod.m, prod.table)
             if key in seen_products:
                 continue
@@ -349,16 +366,9 @@ def _decide_doubly_bijective(target: LocalAlgebra, simulator: LocalAlgebra,
                 f"{target.m} is not such a power"))
     require(target.m ** target.arity <= caps.table_cap,
             f"target table of {target.m ** target.arity} entries exceeds the cap")
-    power_cache: dict[int, LocalAlgebra] = {}
-
-    def power(n: int) -> LocalAlgebra:
-        if n not in power_cache:
-            power_cache[n] = ca_core.iterative_power(simulator, n, caps)
-        return power_cache[n]
-
+    powers = _Powers(simulator, caps)
     for multiset in _partitions_with_parts(exponent, coprime_to=p):
-        factors = [power(n) for n in multiset]
-        candidate = ca_core.product(factors, caps) if len(factors) > 1 else factors[0]
+        candidate = powers.product(multiset)
         iso = matcher.find(candidate, target)
         if iso is not None:
             derivation = Derivation(multiset, _full_carrier(candidate),
@@ -456,13 +466,7 @@ def verify_characterization(rule: CanonicalAdditive, bounds: SearchBounds = DEFA
     inventory = closure_members(generator, bounds, caps)
     matcher = _IsoMatcher(caps.scaled_to(bounds.effective_size_cap(generator.m)))
     p = rule.p
-    power_cache: dict[int, LocalAlgebra] = {}
-
-    def power(n: int) -> LocalAlgebra:
-        if n not in power_cache:
-            power_cache[n] = ca_core.iterative_power(generator, n, caps)
-        return power_cache[n]
-
+    powers = _Powers(generator, caps)
     items = []
     for member in inventory.members:
         if member.size == 1:
@@ -478,9 +482,7 @@ def verify_characterization(rule: CanonicalAdditive, bounds: SearchBounds = DEFA
         matched = None
         iso = None
         for multiset in _partitions_with_parts(exponent):
-            factors = [power(n) for n in multiset]
-            candidate = ca_core.product(factors, caps) if len(factors) > 1 else factors[0]
-            iso = matcher.find(candidate, member.algebra)
+            iso = matcher.find(powers.product(multiset), member.algebra)
             if iso is not None:
                 matched = multiset
                 break
@@ -536,7 +538,7 @@ class AffineClosureReport:
         return [item for item in self.items if not item.ok]
 
 
-def _certify_affine(member: ClosureMember, generator: LocalAlgebra, p: int,
+def _certify_affine(member: ClosureMember, powers: _Powers, p: int,
                     caps: Caps) -> tuple[bool, AffineAlgebra | None, str]:
     """Decide whether a closure member is affine over F_p up to
     relabeling, constructively where possible.
@@ -557,13 +559,13 @@ def _certify_affine(member: ClosureMember, generator: LocalAlgebra, p: int,
     first = algebra.table[0]
     if all(x == first for x in algebra.table):
         d = affine_ca._dimension_over(algebra.m, p)
-        constant = affine_ca._decode_vector(first, p, d)
+        constant = ca_core.decode_word(first, p, d)
         mats = tuple(FpMatrix.zero(p, d) for _ in range(algebra.arity))
         return True, AffineAlgebra(p, d, algebra.r, mats, constant), "constant table"
     direct = affine_ca.fit_affine(algebra, p)
     if direct is not None:
         return True, direct, "direct fit"
-    constructed = _coset_construction(member, generator, p, caps)
+    constructed = _coset_construction(member, powers, p, caps)
     if constructed is not None:
         return True, constructed, "coset construction"
     if algebra.m <= caps.relabel_cap:
@@ -574,21 +576,19 @@ def _certify_affine(member: ClosureMember, generator: LocalAlgebra, p: int,
     return False, None, "affinity could not be certified within caps"
 
 
-def _coset_construction(member: ClosureMember, generator: LocalAlgebra, p: int,
+def _coset_construction(member: ClosureMember, powers: _Powers, p: int,
                         caps: Caps) -> AffineAlgebra | None:
     """Replay a derivation through the affine machinery: carrier must be
     a coset of an invariant subspace, partition classes must be cosets
     of another.  Returns the resulting affine form, verified against the
     member's table, or None when any step fails to be affine-shaped."""
     derivation = member.derivation
-    factors = [ca_core.iterative_power(generator, n, caps) for n in derivation.powers]
-    prod = ca_core.product(factors, caps) if len(factors) > 1 else factors[0]
-    affine_prod = affine_ca.fit_affine(prod, p)
+    affine_prod = affine_ca.fit_affine(powers.product(derivation.powers), p)
     if affine_prod is None:
         return None
     d = affine_prod.d
     carrier = derivation.carrier
-    vectors = [affine_ca._decode_vector(s, p, d) for s in carrier]
+    vectors = [ca_core.decode_word(s, p, d) for s in carrier]
     anchor = vectors[0]
     diffs = [tuple((x - a) % p for x, a in zip(vec, anchor)) for vec in vectors]
     space = Subspace.span(p, d, diffs)
@@ -599,19 +599,19 @@ def _coset_construction(member: ClosureMember, generator: LocalAlgebra, p: int,
     except ValueError:
         return None
     # mapping: member state index k (carrier order) -> sub-rule state
-    embed = [affine_ca._encode_vector(space.coordinates(diff), p) if sub.d else 0
+    embed = [ca_core.encode_word(space.coordinates(diff), p) if sub.d else 0
              for diff in diffs]
     if sorted(embed) != list(range(len(carrier))):
         return None
     partition = derivation.partition
     # partition classes through the embedding, on the sub-rule's states
     zero_class = next(block for block in partition if 0 in [embed[x] for x in block])
-    class_vectors = [affine_ca._decode_vector(embed[x], p, sub.d) for x in zero_class]
+    class_vectors = [ca_core.decode_word(embed[x], p, sub.d) for x in zero_class]
     kernel = Subspace.span(p, sub.d, class_vectors)
     if p ** kernel.dim != len(zero_class):
         return None
     for block in partition:
-        block_vecs = [affine_ca._decode_vector(embed[x], p, sub.d) for x in block]
+        block_vecs = [ca_core.decode_word(embed[x], p, sub.d) for x in block]
         base = block_vecs[0]
         for vec in block_vecs:
             if not kernel.contains(tuple((x - y) % p for x, y in zip(vec, base))):
@@ -629,13 +629,13 @@ def _coset_construction(member: ClosureMember, generator: LocalAlgebra, p: int,
     free = [t for t in range(sub.d) if t not in pivots]
 
     def class_rep_coords(block: Word) -> int:
-        vec = list(affine_ca._decode_vector(embed[block[0]], p, sub.d))
+        vec = list(ca_core.decode_word(embed[block[0]], p, sub.d))
         for w, pivot in zip(kernel.basis, pivots):
             factor = vec[pivot]
             if factor:
                 for t in range(sub.d):
                     vec[t] = (vec[t] - factor * w[t]) % p
-        return affine_ca._encode_vector([vec[t] for t in free], p)
+        return ca_core.encode_word([vec[t] for t in free], p)
 
     bijection = tuple(class_rep_coords(block) for block in partition)
     if sorted(bijection) != list(range(result_table.m)):
@@ -662,13 +662,14 @@ def verify_affine_closure(algebra: AffineAlgebra, bounds: SearchBounds = DEFAULT
     applicable = classification.in_witness_class
     generator = affine_ca.to_table(algebra, caps)
     inventory = closure_members(generator, bounds, caps)
+    powers = _Powers(generator, caps)
     items = []
     for member in inventory.members:
         if member.size == 1:
             items.append(AffineClosureItem(
                 member.derivation, 1, True, "singleton", (None, None), True, "singleton"))
             continue
-        affine, _form, method = _certify_affine(member, generator, algebra.p, caps)
+        affine, _form, method = _certify_affine(member, powers, algebra.p, caps)
         witnesses = ca_core.permutivity(member.algebra)
         preserved = affine and witnesses == (left, right)
         items.append(AffineClosureItem(

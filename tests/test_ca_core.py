@@ -1,7 +1,11 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
+import casim
+from casim.affine_ca import _bijection_conjugates, _relabeled_table
 from casim.caps import CapExceeded, Caps
 from casim.ca_core import (Congruence, LocalAlgebra, are_isomorphic, canonical_partition,
                            check_translation, decode_word, eca, encode_word,
@@ -101,6 +105,22 @@ def test_product_examples():
         product([eca(90), LocalAlgebra(2, 0, (0, 1))])
 
 
+def test_product_matches_componentwise_oracle(rng):
+    for _ in range(12):
+        r = rng.randrange(0, 2)
+        factors = [random_local_algebra(rng, rng.randrange(1, 4), r)
+                   for _ in range(rng.randrange(2, 4))]
+        sizes = [a.m for a in factors]
+        combined = product(factors)
+        states = list(itertools.product(*(range(s) for s in sizes)))
+        assert combined.m == len(states)
+        for nb in itertools.product(range(len(states)), repeat=2 * r + 1):
+            parts = [states[x] for x in nb]
+            expected = tuple(a.apply([part[t] for part in parts])
+                             for t, a in enumerate(factors))
+            assert states[combined.apply(nb)] == expected
+
+
 def test_evolve_seed_rows_of_2x_y_z():
     rule = LocalAlgebra.from_function(3, 1, lambda x, y, z: (2 * x + y + z) % 3)
     diagram = evolve(rule, (1,), 0, 4)
@@ -161,6 +181,11 @@ def test_subalgebras_match_powerset_oracle(rng):
                     oracle.append(subset)
         oracle.sort(key=lambda c: (len(c), c))
         assert enumerate_subalgebras(algebra) == oracle
+        for carrier in oracle:
+            sub = restrict(algebra, carrier)
+            for nb in itertools.product(range(len(carrier)), repeat=3):
+                out = algebra.apply([carrier[x] for x in nb])
+                assert carrier[sub.apply(nb)] == out
 
 
 def test_full_carrier_always_closed(rng):
@@ -205,8 +230,13 @@ def test_congruences_match_partition_oracle(rng):
                 if all(label[a] == label[b] for a, b in zip(nb, other)))
             if compatible:
                 oracle.add(blocks)
-        found = {c.blocks for c in enumerate_congruences(algebra)}
-        assert found == oracle
+        congruences = enumerate_congruences(algebra)
+        assert {c.blocks for c in congruences} == oracle
+        for congruence in congruences:
+            image = quotient(algebra, congruence)
+            block_of = {x: k for k, block in enumerate(congruence.blocks) for x in block}
+            for nb in itertools.product(range(algebra.m), repeat=3):
+                assert image.apply([block_of[x] for x in nb]) == block_of[algebra.apply(nb)]
 
 
 def test_quotient_parity(z4_rule):
@@ -232,6 +262,9 @@ def test_congruence_rejects_incompatible(z4_rule):
 def test_restrict_requires_closure():
     with pytest.raises(ValueError):
         restrict(eca(90), (1,))
+    for not_a_carrier in ((-1,), (2,), (0, 0)):
+        with pytest.raises(ValueError):
+            restrict(eca(150), not_a_carrier)
     sub = restrict(eca(150), (1,))
     assert sub.m == 1 and sub.table == (0,)
 
@@ -252,6 +285,10 @@ def test_iso_returns_lex_least(rng):
         relabeled = LocalAlgebra(3, 1, tuple(
             sigma[algebra.apply([inverse[y] for y in nb])]
             for nb in itertools.product(range(3), repeat=3)))
+        assert _relabeled_table(algebra, sigma) == relabeled
+        assert _bijection_conjugates(algebra, relabeled, sigma)
+        assert _relabeled_table(relabeled, inverse) == algebra
+        assert _bijection_conjugates(relabeled, algebra, inverse)
         witness = are_isomorphic(algebra, relabeled)
         assert witness is not None
         valid = [phi for phi in itertools.permutations(range(3))
@@ -307,3 +344,11 @@ def test_check_translation_identity_and_embed(z4_rule):
     assert check_translation(eca(90), z4_rule, {0: 0, 1: 2}, "embed", 7, 1)
     with pytest.raises(ValueError):
         check_translation(eca(90), z4_rule, [0, 0], "embed", 7, 1)
+
+
+def test_no_assert_statements_in_package():
+    # assert vanishes under python -O, so no check in the package may use it
+    for path in sorted(Path(casim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name} uses assert at lines {lines}"

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from casim.caps import CapExceeded
+from casim.ca_core import LocalAlgebra, enumerate_congruences
+from casim.caps import CapExceeded, Caps
 from casim.fp_linalg import (FpMatrix, Subspace, all_subspaces, common_invariant_subspaces,
                              invariant_closure, is_invariant, is_prime, is_simple,
                              nullspace_basis, one_dim_representatives, rref, solve)
@@ -171,9 +172,22 @@ def test_one_dim_representatives_count():
 
 
 def test_lattice_cap():
-    from casim.caps import Caps
     with pytest.raises(CapExceeded):
         common_invariant_subspaces([FpMatrix.identity(2, 8)], 8, caps=Caps(onedim_cap=10))
+
+
+@pytest.mark.parametrize("enumerate_lattice, size", [
+    # F_2^4 has 67 subspaces, all invariant under the identity
+    (lambda caps: common_invariant_subspaces([FpMatrix.identity(2, 4)], 4, caps=caps), 67),
+    # every one of the 15 partitions of 4 states is a congruence of the identity rule
+    (lambda caps: enumerate_congruences(LocalAlgebra(4, 0, (0, 1, 2, 3)), caps), 15),
+], ids=["invariant-subspaces", "congruences"])
+def test_join_closure_lattice_cap(enumerate_lattice, size):
+    with pytest.raises(CapExceeded):
+        enumerate_lattice(Caps(lattice_cap=10))
+    with pytest.raises(CapExceeded):
+        enumerate_lattice(Caps(lattice_cap=size - 1))
+    assert len(enumerate_lattice(Caps(lattice_cap=size))) == size
 
 
 def test_solve_and_nullspace():
