@@ -389,28 +389,21 @@ class Congruence:
         if leads != sorted(leads):
             raise ValueError("blocks must be sorted by least element")
         label = self.class_labels()
-        table = self.algebra.table
         m, arity = self.algebra.m, self.algebra.arity
-        # compatibility: substituting a related state in one coordinate
-        # must keep outputs related; checked exhaustively
+        # compatibility: every basic translation maps each block into one
+        # class; checked exhaustively
+        translations = _translations(self.algebra)
         for block in self.blocks:
-            if len(block) == 1:
-                continue
             rep = block[0]
             for other in block[1:]:
-                for pos in range(arity):
-                    for ctx in itertools.product(range(m), repeat=arity - 1):
-                        nb1 = ctx[:pos] + (rep,) + ctx[pos:]
-                        nb2 = ctx[:pos] + (other,) + ctx[pos:]
-                        idx1 = idx2 = 0
-                        for a, b in zip(nb1, nb2):
-                            idx1 = idx1 * m + a
-                            idx2 = idx2 * m + b
-                        if label[table[idx1]] != label[table[idx2]]:
+                for pos, maps in enumerate(translations):
+                    for t, base in maps.items():
+                        if label[t[rep]] != label[t[other]]:
+                            nb = decode_word(base, m, arity)
                             raise ValueError(
                                 f"partition is not compatible: states {rep},{other} at "
-                                f"position {pos - self.algebra.r} with context {ctx} map to "
-                                f"unrelated outputs")
+                                f"position {pos - self.algebra.r} with context "
+                                f"{nb[:pos] + nb[pos + 1:]} map to unrelated outputs")
 
     @staticmethod
     def from_blocks(algebra: LocalAlgebra, blocks: Iterable[Iterable[int]]) -> "Congruence":
@@ -469,32 +462,39 @@ class _UnionFind:
         return [self.find(x) for x in range(len(self.parent))]
 
 
-def _principal_congruence(algebra: LocalAlgebra, a: int, b: int) -> tuple[Word, ...]:
+def _translations(algebra: LocalAlgebra) -> list[dict[Word, int]]:
+    """The basic translations x -> f(c_1..x..c_k), one dict per position.
+
+    Each distinct unary map, as the tuple of its values on 0..m-1, is
+    keyed to the table index of its first context (x = 0), in context
+    order.  The map of a context is a strided slice of the table.
+    """
+    m, arity, table = algebra.m, algebra.arity, algebra.table
+    translations = []
+    for pos in range(arity):
+        stride = m ** (arity - 1 - pos)
+        maps: dict[Word, int] = {}
+        for high in range(0, len(table), m * stride):
+            for base in range(high, high + stride):
+                maps.setdefault(table[base:base + m * stride:stride], base)
+        translations.append(maps)
+    return translations
+
+
+def _principal_congruence(maps: Sequence[Word], m: int, a: int, b: int) -> tuple[Word, ...]:
     """Partition of the smallest congruence identifying a and b, by
-    union-find propagation of one-coordinate substitutions."""
-    m, arity = algebra.m, algebra.arity
-    table = algebra.table
+    union-find propagation under the non-constant basic translations
+    `maps` of an m-state algebra (Freese 2008)."""
     uf = _UnionFind(m)
-    contexts = list(itertools.product(range(m), repeat=arity - 1))
     queue = [(a, b)]
     while queue:
         x, y = queue.pop()
         if not uf.union(x, y):
             continue
-        for pos in range(arity):
-            for ctx in contexts:
-                idx1 = idx2 = 0
-                for k in range(arity):
-                    if k == pos:
-                        idx1 = idx1 * m + x
-                        idx2 = idx2 * m + y
-                    else:
-                        c = ctx[k if k < pos else k - 1]
-                        idx1 = idx1 * m + c
-                        idx2 = idx2 * m + c
-                u, v = table[idx1], table[idx2]
-                if uf.find(u) != uf.find(v):
-                    queue.append((u, v))
+        for t in maps:
+            u, v = t[x], t[y]
+            if uf.find(u) != uf.find(v):
+                queue.append((u, v))
     return _partition_of_labels(uf.labels())
 
 
@@ -519,7 +519,9 @@ def enumerate_congruences(algebra: LocalAlgebra, caps: Caps = DEFAULT_CAPS) -> l
     m = algebra.m
     require(m <= caps.congruence_cap,
             f"congruence enumeration needs m <= {caps.congruence_cap}, got {m}")
-    principals = [_principal_congruence(algebra, a, b)
+    maps = list(dict.fromkeys(t for translations in _translations(algebra)
+                              for t in translations if len(set(t)) > 1))
+    principals = [_principal_congruence(maps, m, a, b)
                   for a in range(m) for b in range(a + 1, m)]
     found = join_closure(tuple((x,) for x in range(m)), principals,
                          lambda p1, p2: _join_partitions(p1, p2, m),
@@ -540,27 +542,12 @@ def quotient(algebra: LocalAlgebra, congruence: Congruence) -> LocalAlgebra:
 
 def _subalgebra_closure(algebra: LocalAlgebra, seed: Iterable[int]) -> tuple[int, ...]:
     """Smallest carrier containing `seed` and closed under the rule."""
-    m, arity = algebra.m, algebra.arity
-    table = algebra.table
-    members = sorted(set(seed))
-    in_set = [False] * m
-    for x in members:
-        in_set[x] = True
-    scanned = 0
-    while scanned < len(members):
-        count = len(members)
-        for nb in itertools.product(range(count), repeat=arity):
-            if max(nb) < scanned:
-                continue  # all coordinates already scanned together
-            idx = 0
-            for i in nb:
-                idx = idx * m + members[i]
-            out = table[idx]
-            if not in_set[out]:
-                in_set[out] = True
-                members.append(out)
-        scanned = count
-    return tuple(sorted(members))
+    members = set(seed)
+    while True:
+        grown = members.union(outputs_on(algebra, list(members)))
+        if len(grown) == len(members):
+            return tuple(sorted(members))
+        members = grown
 
 
 def enumerate_subalgebras(algebra: LocalAlgebra, caps: Caps = DEFAULT_CAPS) -> list[Word]:
@@ -735,28 +722,16 @@ def permutivity(algebra: LocalAlgebra) -> tuple[int | None, int | None]:
     the states.  The right witness is symmetric.  A position that is
     outermost-essential but not bijective yields None on that side.
     """
-    m, r, arity = algebra.m, algebra.r, algebra.arity
-
-    def essential(pos: int) -> bool:
-        for ctx in itertools.product(range(m), repeat=arity - 1):
-            outputs = set()
-            for x in range(m):
-                nb = ctx[:pos] + (x,) + ctx[pos:]
-                outputs.add(algebra.apply(nb))
-                if len(outputs) > 1:
-                    return True
-        return False
-
-    def bijective(pos: int) -> bool:
-        for ctx in itertools.product(range(m), repeat=arity - 1):
-            outputs = {algebra.apply(ctx[:pos] + (x,) + ctx[pos:]) for x in range(m)}
-            if len(outputs) != m:
-                return False
-        return True
-
-    essentials = [pos for pos in range(arity) if essential(pos)]
+    m, r = algebra.m, algebra.r
+    translations = _translations(algebra)
+    essentials = [pos for pos, maps in enumerate(translations)
+                  if any(len(set(t)) > 1 for t in maps)]
     if not essentials:
         return (None, None)
+
+    def bijective(pos: int) -> bool:
+        return all(len(set(t)) == m for t in translations[pos])
+
     left_pos, right_pos = essentials[0], essentials[-1]
     left = left_pos - r if bijective(left_pos) else None
     right = right_pos - r if bijective(right_pos) else None
@@ -765,10 +740,12 @@ def permutivity(algebra: LocalAlgebra) -> tuple[int | None, int | None]:
 
 @dataclass(frozen=True)
 class TranslationCheck:
-    """Outcome of a commutation check between two global rules."""
+    """Outcome of a commutation check between two global rules; `sample`
+    is None when every word was scanned, else the number of words drawn."""
 
     ok: bool
     counterexample: Word | None = None
+    sample: int | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -785,7 +762,8 @@ def check_translation(a: LocalAlgebra, b: LocalAlgebra, state_map: dict[int, int
     from b-states onto a-states, checked as F(pi(w)) = pi(G(w)) on
     words over b.  Windows are unravelled `steps` times so only cells
     unaffected by the boundary are compared.  All words are scanned
-    when there are few enough, otherwise a seeded random sample.
+    when there are at most 65536, otherwise a seeded random sample
+    whose size the result reports.
     """
     if a.r != b.r:
         raise ValueError("translation checks need equal radii")
@@ -817,13 +795,13 @@ def check_translation(a: LocalAlgebra, b: LocalAlgebra, state_map: dict[int, int
             rhs = tuple(mapping[x] for x in unravel(b, word, steps))
         return lhs == rhs
 
-    total = source.m ** width
-    if total <= 65536:
+    drawn = None if source.m ** width <= 65536 else sample
+    if drawn is None:
         words: Iterable[Word] = itertools.product(range(source.m), repeat=width)
     else:
         rng = random.Random(seed)
-        words = (tuple(rng.randrange(source.m) for _ in range(width)) for _ in range(sample))
+        words = (tuple(rng.randrange(source.m) for _ in range(width)) for _ in range(drawn))
     for word in words:
         if not commutes(word):
-            return TranslationCheck(False, word)
-    return TranslationCheck(True, None)
+            return TranslationCheck(False, word, drawn)
+    return TranslationCheck(True, None, drawn)

@@ -7,13 +7,56 @@ import pytest
 import casim
 from casim.affine_ca import _bijection_conjugates, _relabeled_table
 from casim.caps import CapExceeded, Caps
-from casim.ca_core import (Congruence, LocalAlgebra, are_isomorphic, canonical_partition,
-                           check_translation, decode_word, eca, encode_word,
-                           enumerate_congruences, enumerate_subalgebras, evolve,
-                           idempotents, iterative_power, pack, permutivity, product,
-                           quotient, restrict, singleton, unpack, unravel,
-                           wolfram_number)
+from casim.ca_core import (Congruence, LocalAlgebra, _partition_of_labels,
+                           _principal_congruence, _translations, _UnionFind,
+                           are_isomorphic, canonical_partition, check_translation,
+                           decode_word, eca, encode_word, enumerate_congruences,
+                           enumerate_subalgebras, evolve, idempotents, iterative_power,
+                           pack, permutivity, product, quotient, restrict, singleton,
+                           unpack, unravel, wolfram_number)
 from conftest import random_local_algebra
+
+
+def random_lattice_algebra(rng):
+    """Random rule of radius 0, 1 or 2 (arity 1, 3 or 5) on m <= 4 states,
+    m <= 3 at radius 2, so the exhaustive lattice oracles stay small."""
+    r = rng.randrange(3)
+    return random_local_algebra(rng, rng.randrange(2, 5 if r < 2 else 4), r)
+
+
+def principal_congruence_oracle(algebra, a, b):
+    """Smallest congruence identifying a and b, by union-find propagation
+    of one-coordinate substitutions over every context."""
+    m, arity = algebra.m, algebra.arity
+    uf = _UnionFind(m)
+    contexts = list(itertools.product(range(m), repeat=arity - 1))
+    queue = [(a, b)]
+    while queue:
+        x, y = queue.pop()
+        if not uf.union(x, y):
+            continue
+        for pos in range(arity):
+            for ctx in contexts:
+                u = algebra.apply(ctx[:pos] + (x,) + ctx[pos:])
+                v = algebra.apply(ctx[:pos] + (y,) + ctx[pos:])
+                if uf.find(u) != uf.find(v):
+                    queue.append((u, v))
+    return _partition_of_labels(uf.labels())
+
+
+def permutivity_oracle(algebra):
+    """Outermost-essential bijectivity witnesses by scanning every context."""
+    m, r, arity = algebra.m, algebra.r, algebra.arity
+
+    def images(pos):
+        for ctx in itertools.product(range(m), repeat=arity - 1):
+            yield {algebra.apply(ctx[:pos] + (x,) + ctx[pos:]) for x in range(m)}
+
+    essentials = [pos for pos in range(arity) if any(len(out) > 1 for out in images(pos))]
+    if not essentials:
+        return (None, None)
+    return tuple(pos - r if all(len(out) == m for out in images(pos)) else None
+                 for pos in (essentials[0], essentials[-1]))
 
 
 def test_wolfram_convention():
@@ -171,19 +214,19 @@ def test_subalgebra_examples():
 
 def test_subalgebras_match_powerset_oracle(rng):
     for _ in range(15):
-        algebra = random_local_algebra(rng, rng.randrange(2, 5))
+        algebra = random_lattice_algebra(rng)
         oracle = []
         for size in range(1, algebra.m + 1):
             for subset in itertools.combinations(range(algebra.m), size):
                 closed = all(algebra.apply(nb) in subset
-                             for nb in itertools.product(subset, repeat=3))
+                             for nb in itertools.product(subset, repeat=algebra.arity))
                 if closed:
                     oracle.append(subset)
         oracle.sort(key=lambda c: (len(c), c))
         assert enumerate_subalgebras(algebra) == oracle
         for carrier in oracle:
             sub = restrict(algebra, carrier)
-            for nb in itertools.product(range(len(carrier)), repeat=3):
+            for nb in itertools.product(range(len(carrier)), repeat=algebra.arity):
                 out = algebra.apply([carrier[x] for x in nb])
                 assert carrier[sub.apply(nb)] == out
 
@@ -214,7 +257,7 @@ def test_congruences_match_partition_oracle(rng):
             yield [[head]] + part
 
     for _ in range(10):
-        algebra = random_local_algebra(rng, rng.randrange(2, 5))
+        algebra = random_lattice_algebra(rng)
         oracle = set()
         for part in all_partitions(list(range(algebra.m))):
             blocks = canonical_partition(part)
@@ -225,8 +268,8 @@ def test_congruences_match_partition_oracle(rng):
             # relate two neighborhoods whenever all positions are related
             compatible = all(
                 label[algebra.apply(nb)] == label[algebra.apply(other)]
-                for nb in itertools.product(range(algebra.m), repeat=3)
-                for other in itertools.product(range(algebra.m), repeat=3)
+                for nb in itertools.product(range(algebra.m), repeat=algebra.arity)
+                for other in itertools.product(range(algebra.m), repeat=algebra.arity)
                 if all(label[a] == label[b] for a, b in zip(nb, other)))
             if compatible:
                 oracle.add(blocks)
@@ -235,8 +278,21 @@ def test_congruences_match_partition_oracle(rng):
         for congruence in congruences:
             image = quotient(algebra, congruence)
             block_of = {x: k for k, block in enumerate(congruence.blocks) for x in block}
-            for nb in itertools.product(range(algebra.m), repeat=3):
+            for nb in itertools.product(range(algebra.m), repeat=algebra.arity):
                 assert image.apply([block_of[x] for x in nb]) == block_of[algebra.apply(nb)]
+
+
+def test_principal_congruences_match_context_scan_oracle(rng):
+    for _ in range(20):
+        r = rng.randrange(3)
+        algebra = random_local_algebra(rng, rng.randrange(2, 7 if r < 2 else 4), r)
+        m = algebra.m
+        maps = [t for translations in _translations(algebra) for t in translations
+                if len(set(t)) > 1]
+        for a in range(m):
+            for b in range(a + 1, m):
+                assert _principal_congruence(maps, m, a, b) == \
+                    principal_congruence_oracle(algebra, a, b)
 
 
 def test_quotient_parity(z4_rule):
@@ -255,7 +311,8 @@ def test_quotient_trivial_cases(rng):
 
 
 def test_congruence_rejects_incompatible(z4_rule):
-    with pytest.raises(ValueError):
+    # x+z mod 4 with z = 1: putting 1 for 0 at offset -1 turns output 1 into 2
+    with pytest.raises(ValueError, match=r"states 0,1 at position -1 "):
         Congruence.from_blocks(z4_rule, [[0, 1], [2, 3]])
 
 
@@ -331,10 +388,31 @@ def test_permutivity():
     assert permutivity(eca(110)) == (None, None)
 
 
+def test_permutivity_matches_context_scan_oracle(rng):
+    for _ in range(60):
+        r = rng.randrange(3)
+        m = rng.randrange(1, 5 if r < 2 else 4)
+        algebra = random_local_algebra(rng, m, r)
+        if rng.randrange(2):
+            # linear rules mod m: permutive where the coefficient is a unit
+            coeffs = [rng.randrange(m) for _ in range(algebra.arity)]
+            algebra = LocalAlgebra.from_function(
+                m, r, lambda *nb: sum(c * x for c, x in zip(coeffs, nb)))
+        assert permutivity(algebra) == permutivity_oracle(algebra)
+    for number in range(256):
+        assert permutivity(eca(number)) == permutivity_oracle(eca(number))
+
+
 def test_check_translation_projection(z4_rule):
-    assert check_translation(eca(90), z4_rule, [0, 1, 0, 1], "project", 7, 1)
+    scanned = check_translation(eca(90), z4_rule, [0, 1, 0, 1], "project", 7, 1)
+    assert scanned.ok and scanned.sample is None
     bad = check_translation(eca(150), z4_rule, [0, 1, 0, 1], "project", 7, 1)
-    assert not bad.ok and bad.counterexample is not None
+    assert not bad.ok and bad.counterexample is not None and bad.sample is None
+    # 4^9 = 262144 words exceed the exhaustive limit, so a sample is drawn
+    sampled = check_translation(eca(90), z4_rule, [0, 1, 0, 1], "project", 9, 1, sample=40)
+    assert sampled.ok and sampled.sample == 40
+    bad = check_translation(eca(150), z4_rule, [0, 1, 0, 1], "project", 9, 1, sample=40)
+    assert not bad.ok and len(bad.counterexample) == 9 and bad.sample == 40
 
 
 def test_check_translation_identity_and_embed(z4_rule):

@@ -1,13 +1,16 @@
 import io
 import json
+import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from casim import cli
 from casim.affine_ca import canonical_additive, fit_affine, to_table
-from casim.ca_core import LocalAlgebra, eca
+from casim.ca_core import LocalAlgebra, eca, iterative_power
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -143,6 +146,10 @@ def test_cmd_quotient_check(monkeypatch, capsys, tmp_path, z4_text):
     code, out, _ = run_cli(["quotient", "--of", str(z4file), "--check"],
                            ca150, monkeypatch, capsys)
     assert code == 1 and "RESULT: FAIL" in out
+    code, out, err = run_cli(["quotient", "--classes", "0,1|2,3", "--of", str(z4file)],
+                             ca90, monkeypatch, capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "not compatible: states 0,1 at position -1 " in err
 
 
 def test_cmd_iso_failure(monkeypatch, capsys, tmp_path):
@@ -251,6 +258,16 @@ def test_exit_codes_for_bad_input(monkeypatch, capsys):
     assert code == 2 and "cap" in err
 
 
+def test_module_pipeline_from_checkout():
+    src = Path(__file__).resolve().parent.parent / "src"
+    python = shlex.quote(sys.executable)
+    pipeline = f"{python} -m casim eca 150 | {python} -m casim power -n 2"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(pipeline, shell=True, capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert cli.parse_ca(result.stdout).table == iterative_power(eca(150), 2).table
+
+
 def test_installed_script_pipeline():
     pipeline = "casim eca 150 | casim power -n 2 | casim matrices"
     result = subprocess.run(pipeline, shell=True, capture_output=True, text=True)
@@ -265,5 +282,4 @@ def test_cmd_product(monkeypatch, capsys, tmp_path):
     code, out, _ = run_cli(["product", str(other)], ca150, monkeypatch, capsys)
     assert code == 0
     parsed = cli.parse_ca(out)
-    from casim.ca_core import iterative_power
     assert parsed.table == iterative_power(eca(150), 2).table
