@@ -156,12 +156,7 @@ class CanonicalAdditive:
         return AffineAlgebra(self.p, 1, self.r, mats, (0,))
 
     def to_table(self) -> LocalAlgebra:
-        p, arity = self.p, self.arity
-        coeffs = self.coefficients
-        table = tuple(
-            sum(a * x for a, x in zip(coeffs, nb)) % p
-            for nb in itertools.product(range(p), repeat=arity))
-        return LocalAlgebra(p, self.r, table)
+        return to_table(self)
 
 
 def canonical_additive(p: int, coefficients: Sequence[int], r: int | None = None) -> CanonicalAdditive:
@@ -183,18 +178,17 @@ def to_table(algebra: AffineAlgebra | CanonicalAdditive, caps: Caps = DEFAULT_CA
     m = algebra.m
     require(m ** arity <= caps.table_cap,
             f"affine truth table needs {m ** arity} entries, cap {caps.table_cap}")
-    # per-position lookup: state value -> encoded image under that component
+    # one base-p digit per coordinate, most significant first: the
+    # coordinate's sum over the neighborhood of the per-position images,
+    # folded position by position in neighborhood order
     vectors = [ca_core.decode_word(v, p, d) for v in range(m)]
-    images = [[mat.apply(vec) for vec in vectors] for mat in algebra.components]
-    constant = algebra.constant
-    table = []
-    for nb in itertools.product(range(m), repeat=arity):
-        acc = list(constant)
-        for pos, state in enumerate(nb):
-            img = images[pos][state]
-            for t in range(d):
-                acc[t] = acc[t] + img[t]
-        table.append(ca_core.encode_word([x % p for x in acc], p))
+    columns = [list(zip(*(mat.apply(vec) for vec in vectors))) for mat in algebra.components]
+    table = [0] * m ** arity
+    for t, c in enumerate(algebra.constant):
+        sums = [c]
+        for column in columns:
+            sums = [s + x for s in sums for x in column[t]]
+        table = [v * p + s % p for v, s in zip(table, sums)]
     return LocalAlgebra(m, algebra.r, tuple(table))
 
 
@@ -267,9 +261,9 @@ def is_affine_up_to_iso(algebra: LocalAlgebra, p: int,
     lexicographic bijection order, or None.  State counts that are not
     powers of p are rejected immediately: no relabeling can help.
     """
-    d = _dimension_over(algebra.m, p) if is_prime(p) else None
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
+    d = _dimension_over(algebra.m, p)
     if d is None:
         return None
     if d == 0:
@@ -620,17 +614,8 @@ def quotient_affine(algebra: AffineAlgebra, space: Subspace,
     free = [t for t in range(d) if t not in pivots]
     e = len(free)
 
-    def reduce_mod(vec: Sequence[int]) -> Vector:
-        out = list(x % p for x in vec)
-        for w, pivot in zip(space.basis, pivots):
-            factor = out[pivot]
-            if factor:
-                for t in range(d):
-                    out[t] = (out[t] - factor * w[t]) % p
-        return tuple(out)
-
     def coords(vec: Sequence[int]) -> Vector:
-        reduced = reduce_mod(vec)
+        reduced = space.reduce(vec)
         return tuple(reduced[t] for t in free)
 
     if e == 0:
@@ -661,16 +646,9 @@ def coset_congruence(algebra: AffineAlgebra, space: Subspace,
     _check_invariant(algebra, space)
     table = to_table(algebra, caps)
     p, d = algebra.p, algebra.d
-    pivots = space.pivots()
     blocks: dict[Vector, list[int]] = {}
     for value in range(table.m):
-        vec = list(ca_core.decode_word(value, p, d))
-        for w, pivot in zip(space.basis, pivots):
-            factor = vec[pivot]
-            if factor:
-                for t in range(d):
-                    vec[t] = (vec[t] - factor * w[t]) % p
-        blocks.setdefault(tuple(vec), []).append(value)
+        blocks.setdefault(space.reduce(ca_core.decode_word(value, p, d)), []).append(value)
     return ca_core.Congruence.from_blocks(table, blocks.values())
 
 

@@ -181,23 +181,17 @@ def unravel(algebra: LocalAlgebra, word: Sequence[int], iterations: int = 1) -> 
 
 
 def _pass_lut(algebra: LocalAlgebra, length: int) -> list[int]:
-    """Table of one unravelling pass on all m^length words, word-encoded."""
-    m, r = algebra.m, algebra.r
-    arity = algebra.arity
-    table = algebra.table
-    size = m ** length
-    window = m ** (arity - 1)
-    out_positions = length - 2 * r
-    lut = [0] * size
-    for value, digits in enumerate(itertools.product(range(m), repeat=length)):
-        idx = 0
-        for x in digits[:arity - 1]:
-            idx = idx * m + x
-        acc = 0
-        for pos in range(out_positions):
-            idx = (idx % window) * m + digits[arity - 1 + pos]
-            acc = acc * m + table[idx]
-        lut[value] = acc
+    """Table of one unravelling pass on all m^length words, word-encoded.
+
+    Grown one cell at a time from the rule's own table: the pass image
+    of a word is the image of the word without its last cell followed
+    by the rule on its last window.
+    """
+    m, table = algebra.m, algebra.table
+    window = len(table)
+    lut = list(table)
+    for k in range(algebra.arity + 1, length + 1):
+        lut = [lut[v // m] * m + table[v % window] for v in range(m ** k)]
     return lut
 
 
@@ -205,41 +199,24 @@ def iterative_power(algebra: LocalAlgebra, n: int, caps: Caps = DEFAULT_CAPS) ->
     """The grouped algebra on blocks of n states realizing n steps.
 
     The new rule keeps radius r; a neighborhood of 2r+1 blocks is the
-    word of its n*(2r+1) cells, and the output block is the middle n
-    cells after n unravelling passes.
+    word of its n*(2r+1) cells, so its table index is already that
+    word's base-m value.  The table composes n pass tables (one
+    unravelling pass each) on words of n*(2r+1) - 2ri cells for
+    i = 0..n-1, which leaves the middle n cells: the output block.
     """
     if n < 1:
         raise ValueError("iterative power exponent must be at least 1")
     if n == 1:
         return algebra
     m, r = algebra.m, algebra.r
-    arity = algebra.arity
-    entries = m ** (n * arity)
+    length = n * algebra.arity
+    entries = m ** length
     require(entries <= caps.table_cap,
             f"iterative power table needs {entries} entries, cap {caps.table_cap}")
-    if r == 0:
-        # radius 0: blockwise n-fold self-composition of the unary map
-        lut = list(range(m))
-        for _ in range(n):
-            lut = [algebra.table[x] for x in lut]
-        table = []
-        block_count = m ** n
-        for block in range(block_count):
-            table.append(encode_word([lut[x] for x in decode_word(block, m, n)], m))
-        return LocalAlgebra(block_count, r, tuple(table))
-    # chain of single-pass lookup tables on ever shorter words; the full
-    # neighborhood of blocks is already the base-m encoding of its cells
-    length = n * arity
-    luts = []
-    while length > n:
-        luts.append(_pass_lut(algebra, length))
-        length -= 2 * r
-    table = [0] * entries
-    for value in range(entries):
-        w = value
-        for lut in luts:
-            w = lut[w]
-        table[value] = w
+    table = _pass_lut(algebra, length)
+    for i in range(1, n):
+        lut = _pass_lut(algebra, length - 2 * r * i)
+        table = [lut[w] for w in table]
     return LocalAlgebra(m ** n, r, tuple(table))
 
 
@@ -352,9 +329,7 @@ def evolve(algebra: LocalAlgebra, word: Sequence[int], background: int = 0,
         n = len(word)
         for _ in range(steps):
             prev = rows[-1]
-            rows.append(tuple(
-                algebra.apply([prev[(i + k) % n] for k in range(-r, r + 1)])
-                for i in range(n)))
+            rows.append(unravel(algebra, [prev[i % n] for i in range(-r, n + r)]))
         return SpaceTimeDiagram(m, tuple(rows), 0, tuple(backgrounds), "cyclic")
     if mode != "background":
         raise ValueError("mode must be 'background' or 'cyclic'")

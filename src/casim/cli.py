@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from . import affine_ca, ca_core, simulation
@@ -719,7 +720,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     caps = DEFAULT_CAPS
     if args.cap is not None:
-        from dataclasses import replace
         caps = replace(caps, table_cap=args.cap)
     io = _Io(args)
     try:

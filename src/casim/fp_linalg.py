@@ -256,7 +256,11 @@ class Subspace:
     def is_trivial(self) -> bool:
         return self.is_zero() or self.is_full()
 
-    def contains(self, vec: Sequence[int]) -> bool:
+    def reduce(self, vec: Sequence[int]) -> Vector:
+        """Canonical representative of the coset vec + self: the pivot
+        entries eliminated against the RREF basis.  Two vectors reduce
+        to the same representative exactly when their difference lies in
+        the subspace, and the representative is zero at every pivot."""
         p = self.p
         residue = [x % p for x in vec]
         for row, pivot in zip(self.basis, self.pivots()):
@@ -264,7 +268,10 @@ class Subspace:
             if factor:
                 for i, b in enumerate(row):
                     residue[i] = (residue[i] - factor * b) % p
-        return all(x == 0 for x in residue)
+        return tuple(residue)
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        return not any(self.reduce(vec))
 
     def join(self, other: "Subspace") -> "Subspace":
         if (self.p, self.ambient) != (other.p, other.ambient):

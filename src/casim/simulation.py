@@ -629,12 +629,7 @@ def _coset_construction(member: ClosureMember, powers: _Powers, p: int,
     free = [t for t in range(sub.d) if t not in pivots]
 
     def class_rep_coords(block: Word) -> int:
-        vec = list(ca_core.decode_word(embed[block[0]], p, sub.d))
-        for w, pivot in zip(kernel.basis, pivots):
-            factor = vec[pivot]
-            if factor:
-                for t in range(sub.d):
-                    vec[t] = (vec[t] - factor * w[t]) % p
+        vec = kernel.reduce(ca_core.decode_word(embed[block[0]], p, sub.d))
         return ca_core.encode_word([vec[t] for t in free], p)
 
     bijection = tuple(class_rep_coords(block) for block in partition)

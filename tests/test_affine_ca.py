@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -19,6 +20,35 @@ def test_to_table_eca_cases():
     assert to_table(canonical_additive(2, [1, 0, 1])).table == eca(90).table
     zero = AffineAlgebra(2, 1, 1, tuple(FpMatrix.zero(2, 1) for _ in range(3)), (0,))
     assert to_table(zero).table == (0,) * 8
+
+
+def test_to_table_matches_apply_vectors_oracle():
+    rng = random.Random(7)
+    cases = [(p, d, r) for p, d, r in itertools.product((2, 3, 5), range(1, 4), range(3))
+             if (p ** d) ** (2 * r + 1) <= 20000]
+    for p, d, r in cases + [(2, 12, 0)]:  # the last rule has 4096 states
+        m = p ** d
+        mats = tuple(FpMatrix.from_rows(p, [[rng.randrange(p) for _ in range(d)]
+                                            for _ in range(d)]) for _ in range(2 * r + 1))
+        constant = (0,) * d
+        while not any(constant):
+            constant = tuple(rng.randrange(p) for _ in range(d))
+        algebra = AffineAlgebra(p, d, r, mats, constant)
+        table = to_table(algebra)
+        assert (table.m, table.r) == (m, r)
+        states = [algebra.decode_state(v) for v in range(m)]
+        expected = [algebra.encode_state(algebra.apply_vectors([states[x] for x in nb]))
+                    for nb in itertools.product(range(m), repeat=2 * r + 1)]
+        assert list(table.table) == expected
+
+
+def test_to_table_canonical_additive_sums():
+    rng = random.Random(8)
+    for p, r in itertools.product((2, 3, 5), range(3)):
+        rule = canonical_additive(p, [rng.randrange(p) for _ in range(2 * r + 1)])
+        expected = tuple(sum(a * x for a, x in zip(rule.coefficients, nb)) % p
+                         for nb in itertools.product(range(p), repeat=2 * r + 1))
+        assert rule.to_table().table == to_table(rule).table == expected
 
 
 def test_eca_affine_family():

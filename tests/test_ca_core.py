@@ -111,14 +111,18 @@ def test_iterative_power_unit():
 
 
 def test_iterative_power_matches_blockwise_unravel(rng):
-    for _ in range(6):
-        algebra = random_local_algebra(rng, 2)
-        power = iterative_power(algebra, 2)
-        assert power.m == 4 and power.r == 1
-        for nb in itertools.product(range(4), repeat=3):
-            cells = unpack(nb, 2, 2)
-            expected = encode_word(unravel(algebra, cells, 2), 2)
-            assert power.apply(nb) == expected
+    for r, m, n in itertools.product(range(3), range(1, 4), range(1, 4)):
+        entries = m ** (n * (2 * r + 1))
+        if entries > 3 ** 10:
+            continue  # m=3, r=2, n=3 needs 3^15 entries, over the default table cap
+        for _ in range(4 if entries <= 3 ** 6 else 1):
+            algebra = random_local_algebra(rng, m, r)
+            power = iterative_power(algebra, n)
+            assert power.m == m ** n and power.r == r
+            for nb in itertools.product(range(m ** n), repeat=2 * r + 1):
+                cells = unpack(nb, n, m)
+                expected = encode_word(unravel(algebra, cells, n), m)
+                assert power.apply(nb) == expected
 
 
 def test_iterative_power_frobenius_split():
@@ -205,6 +209,20 @@ def test_evolve_cyclic_matches_background_interior(rng):
         for t in range(steps + 1):
             for i in range(t, 5 - t):
                 assert cyclic.rows[t][i] == background.cell(t, i)
+
+
+def test_evolve_cyclic_matches_per_cell_oracle(rng):
+    for r in range(3):
+        for n in range(1, 8):  # includes rings shorter than 2r+1
+            algebra = random_local_algebra(rng, rng.randrange(2, 4), r)
+            ring = tuple(rng.randrange(algebra.m) for _ in range(n))
+            rows = [ring]
+            for _ in range(4):
+                prev = rows[-1]
+                rows.append(tuple(algebra.apply([prev[(i + k) % n] for k in range(-r, r + 1)])
+                                  for i in range(n)))
+            diagram = evolve(algebra, ring, 0, 4, "cyclic")
+            assert diagram.rows == tuple(rows)
 
 
 def test_subalgebra_examples():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -56,6 +57,27 @@ def test_subspace_canonical_form():
     assert a == b and a.dim == 1
     assert a.contains((2, 1)) and not a.contains((1, 0))
     assert len(list(a.vectors())) == 3
+
+
+def test_reduce_is_coset_normal_form():
+    rng = random.Random(5)
+    for p in (2, 3):
+        for n in range(4):
+            for _ in range(4):
+                seeds = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(n + 1))]
+                space = Subspace.span(p, n, seeds)
+                members = set(space.vectors())
+                pivots = space.pivots()
+                representatives = set()
+                for vec in itertools.product(range(p), repeat=n):
+                    rep = space.reduce(vec)
+                    representatives.add(rep)
+                    assert all(rep[t] == 0 for t in pivots)
+                    assert tuple((x - y) % p for x, y in zip(vec, rep)) in members
+                    for w in members:
+                        assert space.reduce([x + y for x, y in zip(vec, w)]) == rep
+                    assert (not any(rep)) == (vec in members) == space.contains(vec)
+                assert len(representatives) == p ** (n - space.dim)
 
 
 def test_subspace_rejects_non_rref_basis():
