@@ -16,6 +16,7 @@ expansion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -180,8 +181,9 @@ def unravel(algebra: LocalAlgebra, word: Sequence[int], iterations: int = 1) -> 
     return tuple(current)
 
 
-def _pass_lut(algebra: LocalAlgebra, length: int) -> list[int]:
-    """Table of one unravelling pass on all m^length words, word-encoded.
+def _pass_luts(algebra: LocalAlgebra, length: int) -> Iterator[list[int]]:
+    """Tables of one unravelling pass on all m^k words, word-encoded, for
+    k = 2r+1, ..., length in turn.
 
     Grown one cell at a time from the rule's own table: the pass image
     of a word is the image of the word without its last cell followed
@@ -190,9 +192,10 @@ def _pass_lut(algebra: LocalAlgebra, length: int) -> list[int]:
     m, table = algebra.m, algebra.table
     window = len(table)
     lut = list(table)
+    yield lut
     for k in range(algebra.arity + 1, length + 1):
         lut = [lut[v // m] * m + table[v % window] for v in range(m ** k)]
-    return lut
+        yield lut
 
 
 def iterative_power(algebra: LocalAlgebra, n: int, caps: Caps = DEFAULT_CAPS) -> LocalAlgebra:
@@ -203,6 +206,8 @@ def iterative_power(algebra: LocalAlgebra, n: int, caps: Caps = DEFAULT_CAPS) ->
     word's base-m value.  The table composes n pass tables (one
     unravelling pass each) on words of n*(2r+1) - 2ri cells for
     i = 0..n-1, which leaves the middle n cells: the output block.
+    One growth reaches those lengths last pass first; each composes
+    onto the passes after it.
     """
     if n < 1:
         raise ValueError("iterative power exponent must be at least 1")
@@ -213,10 +218,11 @@ def iterative_power(algebra: LocalAlgebra, n: int, caps: Caps = DEFAULT_CAPS) ->
     entries = m ** length
     require(entries <= caps.table_cap,
             f"iterative power table needs {entries} entries, cap {caps.table_cap}")
-    table = _pass_lut(algebra, length)
-    for i in range(1, n):
-        lut = _pass_lut(algebra, length - 2 * r * i)
-        table = [lut[w] for w in table]
+    lengths = [length - 2 * r * i for i in range(n)]
+    table: Sequence[int] = range(m ** n)  # no pass yet: the identity on blocks
+    for k, lut in enumerate(_pass_luts(algebra, length), algebra.arity):
+        for _ in range(lengths.count(k)):
+            table = [table[w] for w in lut]
     return LocalAlgebra(m ** n, r, tuple(table))
 
 
@@ -437,12 +443,14 @@ class _UnionFind:
         return [self.find(x) for x in range(len(self.parent))]
 
 
+@functools.lru_cache(maxsize=1)
 def _translations(algebra: LocalAlgebra) -> list[dict[Word, int]]:
     """The basic translations x -> f(c_1..x..c_k), one dict per position.
 
     Each distinct unary map, as the tuple of its values on 0..m-1, is
     keyed to the table index of its first context (x = 0), in context
     order.  The map of a context is a strided slice of the table.
+    Cached for the last algebra; callers must not mutate the result.
     """
     m, arity, table = algebra.m, algebra.arity, algebra.table
     translations = []
@@ -526,35 +534,23 @@ def _subalgebra_closure(algebra: LocalAlgebra, seed: Iterable[int]) -> tuple[int
 
 
 def enumerate_subalgebras(algebra: LocalAlgebra, caps: Caps = DEFAULT_CAPS) -> list[Word]:
-    """All nonempty carriers closed under the rule, by breadth-first
-    extension of closed sets; ordered by size then lexicographically.
+    """All nonempty carriers closed under the rule, as the join-closure
+    of the one-generated Sg(s); ordered by size then lexicographically.
 
-    Every subalgebra is reachable by repeatedly adjoining one of its
-    states to a smaller closed subset, so the search is complete.
+    Every subalgebra is the join of the Sg(s) of its states, and a join
+    is the closure of the union (Burris and Sankappanavar, A Course in
+    Universal Algebra, 1981, II.3).  Sg(0) stands in for the bottom,
+    since the empty carrier is not reported.
     """
     m = algebra.m
     require(m <= caps.subalgebra_cap,
             f"subalgebra enumeration needs m <= {caps.subalgebra_cap}, got {m}")
-    closed: set[Word] = set()
-    frontier: list[Word] = []
-    for s in range(m):
-        carrier = _subalgebra_closure(algebra, [s])
-        if carrier not in closed:
-            closed.add(carrier)
-            frontier.append(carrier)
-    while frontier:
-        require(len(closed) <= caps.lattice_cap,
-                f"subalgebra lattice exceeds {caps.lattice_cap} members")
-        carrier = frontier.pop()
-        base = set(carrier)
-        for s in range(m):
-            if s in base:
-                continue
-            grown = _subalgebra_closure(algebra, carrier + (s,))
-            if grown not in closed:
-                closed.add(grown)
-                frontier.append(grown)
-    return sorted(closed, key=lambda c: (len(c), c))
+    generated = [_subalgebra_closure(algebra, [s]) for s in range(m)]
+    found = join_closure(generated[0], generated[1:],
+                         lambda c1, c2: c1 if set(c2) <= set(c1)
+                         else _subalgebra_closure(algebra, c1 + c2),
+                         caps.lattice_cap, "subalgebra lattice")
+    return sorted(found, key=lambda c: (len(c), c))
 
 
 def restrict(algebra: LocalAlgebra, carrier: Sequence[int]) -> LocalAlgebra:

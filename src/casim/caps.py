@@ -22,7 +22,7 @@ class Caps:
     iso_cap: int = 10            # max states for general isomorphism search
     relabel_cap: int = 9         # max states for exhaustive relabeling search
     onedim_cap: int = 1_000_000  # max one-dimensional subspace representatives
-    lattice_cap: int = 20_000    # max enumerated subalgebras or congruences
+    lattice_cap: int = 20_000    # max subalgebras, congruences or invariant subspaces
 
     def scaled_to(self, states: int) -> "Caps":
         """Caps with the per-state gates raised to cover `states` states."""

@@ -318,14 +318,14 @@ def one_dim_representatives(p: int, n: int) -> Iterator[Vector]:
 def join_closure(bottom: Member, generators: Iterable[Member],
                  join: Callable[[Member, Member], Member], limit: int,
                  what: str) -> list[Member]:
-    """The lattice generated by `generators` under `join`, with `bottom`
-    as the empty join, in breadth-first discovery order.
+    """The closure of `bottom` and `generators` under `join`, in
+    breadth-first discovery order; `bottom` is a member every other
+    member is joined onto (the least element where the lattice has one).
 
-    Every member is a join of generators, so joining each member with
+    Each member is a join of some of these, so joining each member with
     the generators alone reaches all of them (Freese, "Computing
     congruences efficiently", Algebra Universalis 59, 2008).  Raises
-    CapExceeded on the insert that takes the lattice past `limit`
-    members.
+    CapExceeded, "`what` exceeds `limit` members", past `limit` members.
     """
     members = [bottom]
     seen = {bottom}

@@ -8,12 +8,12 @@ import casim
 from casim.affine_ca import _bijection_conjugates, _relabeled_table
 from casim.caps import CapExceeded, Caps
 from casim.ca_core import (Congruence, LocalAlgebra, _partition_of_labels,
-                           _principal_congruence, _translations, _UnionFind,
-                           are_isomorphic, canonical_partition, check_translation,
-                           decode_word, eca, encode_word, enumerate_congruences,
-                           enumerate_subalgebras, evolve, idempotents, iterative_power,
-                           pack, permutivity, product, quotient, restrict, singleton,
-                           unpack, unravel, wolfram_number)
+                           _principal_congruence, _subalgebra_closure, _translations,
+                           _UnionFind, are_isomorphic, canonical_partition,
+                           check_translation, decode_word, eca, encode_word,
+                           enumerate_congruences, enumerate_subalgebras, evolve, idempotents,
+                           iterative_power, pack, permutivity, product, quotient, restrict,
+                           singleton, unpack, unravel, wolfram_number)
 from conftest import random_local_algebra
 
 
@@ -230,9 +230,24 @@ def test_subalgebra_examples():
     assert enumerate_subalgebras(eca(90)) == [(0,), (0, 1)]
 
 
+def subalgebras_frontier_oracle(algebra):
+    """Every nonempty closed carrier, by adjoining each outside state to
+    each closed carrier found so far until nothing new appears."""
+    closed = {_subalgebra_closure(algebra, [s]) for s in range(algebra.m)}
+    frontier = list(closed)
+    while frontier:
+        carrier = frontier.pop()
+        for s in set(range(algebra.m)) - set(carrier):
+            grown = _subalgebra_closure(algebra, carrier + (s,))
+            if grown not in closed:
+                closed.add(grown)
+                frontier.append(grown)
+    return sorted(closed, key=lambda c: (len(c), c))
+
+
 def test_subalgebras_match_powerset_oracle(rng):
-    for _ in range(15):
-        algebra = random_lattice_algebra(rng)
+    larger = [random_local_algebra(rng, rng.randrange(5, 8), rng.randrange(2)) for _ in range(12)]
+    for algebra in [random_lattice_algebra(rng) for _ in range(15)] + larger:
         oracle = []
         for size in range(1, algebra.m + 1):
             for subset in itertools.combinations(range(algebra.m), size):
@@ -247,6 +262,14 @@ def test_subalgebras_match_powerset_oracle(rng):
             for nb in itertools.product(range(len(carrier)), repeat=algebra.arity):
                 out = algebra.apply([carrier[x] for x in nb])
                 assert carrier[sub.apply(nb)] == out
+
+
+@pytest.mark.parametrize("number", [30, 110, 150])
+def test_subalgebras_match_frontier_oracle_on_eca_products(number):
+    b = eca(number)
+    b2 = iterative_power(b, 2)
+    for algebra in (b2, product([b, b2]), product([b2, b2])):
+        assert enumerate_subalgebras(algebra) == subalgebras_frontier_oracle(algebra)
 
 
 def test_full_carrier_always_closed(rng):

@@ -256,6 +256,11 @@ def test_exit_codes_for_bad_input(monkeypatch, capsys):
         ["--cap", "100", "power", "-n", "3"], cli.print_ca(eca(30)),
         monkeypatch, capsys)
     assert code == 2 and "cap" in err
+    # eca 30 | power -n 5 | subalgebras: 32 states, above the subalgebra cap
+    _, ca30, _ = run_cli(["eca", "30"], "", monkeypatch, capsys)
+    _, power5, _ = run_cli(["power", "-n", "5"], ca30, monkeypatch, capsys)
+    code, out, err = run_cli(["subalgebras"], power5, monkeypatch, capsys)
+    assert code == 2 and out == "" and "cap" in err and "Traceback" not in err
 
 
 def test_module_pipeline_from_checkout():

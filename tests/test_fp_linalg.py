@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from casim.ca_core import LocalAlgebra, enumerate_congruences
+from casim.ca_core import LocalAlgebra, enumerate_congruences, enumerate_subalgebras
 from casim.caps import CapExceeded, Caps
 from casim.fp_linalg import (FpMatrix, Subspace, all_subspaces, common_invariant_subspaces,
                              invariant_closure, is_invariant, is_prime, is_simple,
@@ -198,16 +198,21 @@ def test_lattice_cap():
         common_invariant_subspaces([FpMatrix.identity(2, 8)], 8, caps=Caps(onedim_cap=10))
 
 
-@pytest.mark.parametrize("enumerate_lattice, size", [
+@pytest.mark.parametrize("enumerate_lattice, size, what", [
     # F_2^4 has 67 subspaces, all invariant under the identity
-    (lambda caps: common_invariant_subspaces([FpMatrix.identity(2, 4)], 4, caps=caps), 67),
+    (lambda caps: common_invariant_subspaces([FpMatrix.identity(2, 4)], 4, caps=caps), 67,
+     "invariant-subspace lattice"),
     # every one of the 15 partitions of 4 states is a congruence of the identity rule
-    (lambda caps: enumerate_congruences(LocalAlgebra(4, 0, (0, 1, 2, 3)), caps), 15),
-], ids=["invariant-subspaces", "congruences"])
-def test_join_closure_lattice_cap(enumerate_lattice, size):
-    with pytest.raises(CapExceeded):
+    (lambda caps: enumerate_congruences(LocalAlgebra(4, 0, (0, 1, 2, 3)), caps), 15,
+     "congruence lattice"),
+    # every one of the 15 nonempty subsets of 4 states is closed under the identity rule
+    (lambda caps: enumerate_subalgebras(LocalAlgebra(4, 0, (0, 1, 2, 3)), caps), 15,
+     "subalgebra lattice"),
+], ids=["invariant-subspaces", "congruences", "subalgebras"])
+def test_join_closure_lattice_cap(enumerate_lattice, size, what):
+    with pytest.raises(CapExceeded, match=f"^{what} exceeds 10 members$"):
         enumerate_lattice(Caps(lattice_cap=10))
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=f"^{what} exceeds {size - 1} members$"):
         enumerate_lattice(Caps(lattice_cap=size - 1))
     assert len(enumerate_lattice(Caps(lattice_cap=size))) == size
 
