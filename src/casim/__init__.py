@@ -4,8 +4,8 @@ invariant-subspace analysis of additive rules, and exact or bounded
 decision of the simulation preorder."""
 
 from .caps import CapExceeded, Caps, DEFAULT_CAPS
-from .fp_linalg import (FpMatrix, Subspace, all_subspaces, common_invariant_subspaces,
-                        invariant_closure, is_simple, rref)
+from .fp_linalg import (FpMatrix, Subspace, common_invariant_subspaces, invariant_closure,
+                        is_simple, rref)
 from .ca_core import (Congruence, LocalAlgebra, SpaceTimeDiagram, are_isomorphic,
                       check_translation, eca, enumerate_congruences,
                       enumerate_subalgebras, evolve, idempotents, iterative_power,

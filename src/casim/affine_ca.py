@@ -174,22 +174,28 @@ def to_table(algebra: AffineAlgebra | CanonicalAdditive, caps: Caps = DEFAULT_CA
         algebra = algebra.as_affine()
     if algebra.d == 0:
         return ca_core.singleton(algebra.r)
-    p, d, arity = algebra.p, algebra.d, algebra.arity
-    m = algebra.m
+    m, arity = algebra.m, algebra.arity
     require(m ** arity <= caps.table_cap,
             f"affine truth table needs {m ** arity} entries, cap {caps.table_cap}")
+    vectors = [algebra.decode_state(v) for v in range(m)]
+    return LocalAlgebra(m, algebra.r, tuple(_affine_outputs(algebra, vectors)))
+
+
+def _affine_outputs(algebra: AffineAlgebra, vectors: Sequence[Vector]) -> list[int]:
+    """The encoded rule on every neighborhood over a list of state
+    vectors, in the order of ca_core.outputs_on."""
+    p = algebra.p
     # one base-p digit per coordinate, most significant first: the
     # coordinate's sum over the neighborhood of the per-position images,
     # folded position by position in neighborhood order
-    vectors = [ca_core.decode_word(v, p, d) for v in range(m)]
     columns = [list(zip(*(mat.apply(vec) for vec in vectors))) for mat in algebra.components]
-    table = [0] * m ** arity
+    outputs = [0] * len(vectors) ** algebra.arity
     for t, c in enumerate(algebra.constant):
         sums = [c]
         for column in columns:
             sums = [s + x for s in sums for x in column[t]]
-        table = [v * p + s % p for v, s in zip(table, sums)]
-    return LocalAlgebra(m, algebra.r, tuple(table))
+        outputs = [v * p + s % p for v, s in zip(outputs, sums)]
+    return outputs
 
 
 def _dimension_over(m: int, p: int) -> int | None:
@@ -583,20 +589,17 @@ def subalgebra_affine(algebra: AffineAlgebra, space: Subspace, anchor: Sequence[
 
 def _verify_coset_embedding(algebra: AffineAlgebra, space: Subspace, anchor: Vector,
                             sub: AffineAlgebra, caps: Caps) -> None:
-    p = algebra.p
+    """Replay sub's whole table through the coset embedding against the
+    ambient rule on the embedded states; raises on the first mismatch."""
     sub_table = to_table(sub, caps)
-    embed = []
-    for t in range(sub_table.m):
-        coords = ca_core.decode_word(t, p, sub.d)
-        vec = list(anchor)
-        for c, w in zip(coords, space.basis):
-            for idx in range(algebra.d):
-                vec[idx] = (vec[idx] + c * w[idx]) % p
-        embed.append(tuple(vec))
-    for nb in itertools.product(range(sub_table.m), repeat=sub_table.arity):
-        expected = algebra.apply_vectors([embed[t] for t in nb])
-        actual = embed[sub_table.apply(nb)]
-        if actual != expected:
+    # sub's state t has the base-p digits of t as coordinates, which is
+    # the order in which space.vectors() lists the members
+    embed = [tuple((a + w) % algebra.p for a, w in zip(anchor, vec)) for vec in space.vectors()]
+    codes = [algebra.encode_state(vec) for vec in embed]
+    expected = _affine_outputs(algebra, embed)
+    for v, out in enumerate(sub_table.table):
+        if codes[out] != expected[v]:
+            nb = ca_core.decode_word(v, sub_table.m, sub_table.arity)
             raise RuntimeError(f"coset embedding failed to commute on {nb}")
 
 
@@ -725,7 +728,7 @@ def affine_isomorphism(a: AffineAlgebra, b: AffineAlgebra,
                     row[k * d + t] = (row[k * d + t] - mat_b.entries[s][k]) % p
                 rows.append(tuple(row))
     basis = nullspace_basis(FpMatrix(p, len(rows), unknowns, tuple(rows)))
-    require(p ** len(basis) <= 1_000_000,
+    require(p ** len(basis) <= caps.onedim_cap,
             f"conjugacy space too large: p^{len(basis)} candidates")
     shift = b.component_sum().add(FpMatrix.identity(p, d).scale(-1))
     for coeffs in itertools.product(range(p), repeat=len(basis)):

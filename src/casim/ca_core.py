@@ -101,12 +101,6 @@ class LocalAlgebra:
     def apply(self, neighborhood: Sequence[int]) -> int:
         return self.table[encode_word(neighborhood, self.m)]
 
-    def neighborhoods(self) -> Iterator[Word]:
-        return itertools.product(range(self.m), repeat=self.arity)
-
-    def states(self) -> range:
-        return range(self.m)
-
     def __repr__(self) -> str:
         if self.m <= 10 and len(self.table) <= 32:
             body = "".join(str(x) for x in self.table)
@@ -326,7 +320,7 @@ def evolve(algebra: LocalAlgebra, word: Sequence[int], background: int = 0,
         raise ValueError(f"background state {background} out of range")
     if steps < 0:
         raise ValueError("step count must be nonnegative")
-    diagonal = [algebra.apply((s,) * algebra.arity) for s in range(m)]
+    diagonal = _diagonal(algebra)
     backgrounds = [background]
     for _ in range(steps):
         backgrounds.append(diagonal[backgrounds[-1]])
@@ -571,10 +565,14 @@ def restrict(algebra: LocalAlgebra, carrier: Sequence[int]) -> LocalAlgebra:
     return LocalAlgebra(k, algebra.r, table)
 
 
+def _diagonal(algebra: LocalAlgebra) -> list[int]:
+    """The diagonal map s -> f(s, ..., s), as its list of values."""
+    return [algebra.apply((s,) * algebra.arity) for s in range(algebra.m)]
+
+
 def idempotents(algebra: LocalAlgebra) -> list[int]:
     """States s with f(s, ..., s) = s."""
-    return [s for s in range(algebra.m)
-            if algebra.apply((s,) * algebra.arity) == s]
+    return [s for s, image in enumerate(_diagonal(algebra)) if image == s]
 
 
 def _diagonal_signature(algebra: LocalAlgebra) -> list[tuple]:
@@ -582,7 +580,7 @@ def _diagonal_signature(algebra: LocalAlgebra) -> list[tuple]:
     isomorphism search: orbit shape under s -> f(s,...,s), in-degree of
     the diagonal map, and how often the state occurs as an output."""
     m = algebra.m
-    diag = [algebra.apply((s,) * algebra.arity) for s in range(m)]
+    diag = _diagonal(algebra)
     indeg = [0] * m
     for t in diag:
         indeg[t] += 1
@@ -629,29 +627,20 @@ def are_isomorphic(a: LocalAlgebra, b: LocalAlgebra,
     if sorted(sig_a) != sorted(sig_b):
         return None
     candidates = [[t for t in range(m) if sig_b[t] == sig_a[s]] for s in range(m)]
-    arity = a.arity
-    table_a, table_b = a.table, b.table
-    neighborhoods = list(itertools.product(range(m), repeat=arity))
 
     def propagate(phi: list[int], used: list[bool]) -> bool:
-        """Close the partial map under forced constraints; False on clash."""
+        """Close the partial map under forced constraints; False on clash.
+
+        Each round evaluates a on every neighborhood over the assigned
+        states and b on their images: out_a must map to out_b.  The
+        closure does not depend on the order in which it is derived.
+        """
         changed = True
         while changed:
             changed = False
-            for nb in neighborhoods:
-                idx_a = 0
-                ok = True
-                for x in nb:
-                    if phi[x] < 0:
-                        ok = False
-                        break
-                    idx_a = idx_a * m + x
-                if not ok:
-                    continue
-                idx_b = 0
-                for x in nb:
-                    idx_b = idx_b * m + phi[x]
-                out_a, out_b = table_a[idx_a], table_b[idx_b]
+            assigned = [x for x in range(m) if phi[x] >= 0]
+            for out_a, out_b in zip(outputs_on(a, assigned),
+                                    outputs_on(b, [phi[x] for x in assigned])):
                 img = phi[out_a]
                 if img >= 0:
                     if img != out_b:

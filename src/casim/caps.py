@@ -21,7 +21,8 @@ class Caps:
     congruence_cap: int = 12     # max states for congruence enumeration
     iso_cap: int = 10            # max states for general isomorphism search
     relabel_cap: int = 9         # max states for exhaustive relabeling search
-    onedim_cap: int = 1_000_000  # max one-dimensional subspace representatives
+    onedim_cap: int = 1_000_000  # max one-dimensional subspace representatives,
+                                 # and max candidate maps in affine isomorphism search
     lattice_cap: int = 20_000    # max subalgebras, congruences or invariant subspaces
 
     def scaled_to(self, states: int) -> "Caps":

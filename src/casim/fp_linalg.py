@@ -119,9 +119,6 @@ class FpMatrix:
             for row in self.entries)
         return FpMatrix(p, self.rows, other.cols, data)
 
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        return self.mul(other)
-
     def power(self, k: int) -> "FpMatrix":
         if self.rows != self.cols:
             raise ValueError("only square matrices have powers")
@@ -416,26 +413,6 @@ def is_simple(maps: Sequence[FpMatrix], n: int, *, p: int | None = None) -> bool
         if not invariant_closure([v], maps, p=p, ambient=n).is_full():
             return False
     return True
-
-
-def all_subspaces(p: int, n: int) -> list[Subspace]:
-    """Every subspace of F_p^n, by join-closure of the one-dimensional
-    subspaces.  Exhaustive-oracle helper, intended for p^n <= 81."""
-    _check_prime(p)
-    require(p ** n <= 729, f"all_subspaces is an oracle for small spaces, got p^n={p ** n}")
-    lattice: dict[tuple, Subspace] = {(): Subspace.zero(p, n)}
-    lines = [Subspace.span(p, n, [v]) for v in one_dim_representatives(p, n)]
-    for line in lines:
-        lattice[line.basis] = line
-    pending = list(lines)
-    while pending:
-        current = pending.pop()
-        for line in lines:
-            joined = current.join(line)
-            if joined.basis not in lattice:
-                lattice[joined.basis] = joined
-                pending.append(joined)
-    return sorted(lattice.values(), key=Subspace.sort_key)
 
 
 def is_invariant(space: Subspace, maps: Sequence[FpMatrix]) -> bool:

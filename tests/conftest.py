@@ -5,7 +5,7 @@ import pytest
 
 from casim.affine_ca import AffineAlgebra, CanonicalAdditive, classify_affine
 from casim.ca_core import LocalAlgebra
-from casim.fp_linalg import FpMatrix
+from casim.fp_linalg import FpMatrix, Subspace, is_prime, one_dim_representatives
 
 
 @pytest.fixture
@@ -30,6 +30,29 @@ def doubly_bijective_rules(p, r=1):
     for rule in all_canonical_rules(p, r):
         if is_doubly_bijective(rule):
             yield rule
+
+
+def all_subspaces(p, n):
+    """Every subspace of F_p^n, by join-closure of the one-dimensional
+    subspaces: the exhaustive oracle for invariant-subspace lattices,
+    for p^n <= 729."""
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    if p ** n > 729:
+        raise ValueError(f"all_subspaces is an oracle for small spaces, got p^n={p ** n}")
+    lattice = {(): Subspace.zero(p, n)}
+    lines = [Subspace.span(p, n, [v]) for v in one_dim_representatives(p, n)]
+    for line in lines:
+        lattice[line.basis] = line
+    pending = list(lines)
+    while pending:
+        current = pending.pop()
+        for line in lines:
+            joined = current.join(line)
+            if joined.basis not in lattice:
+                lattice[joined.basis] = joined
+                pending.append(joined)
+    return sorted(lattice.values(), key=Subspace.sort_key)
 
 
 def random_local_algebra(rng, m, r=1):

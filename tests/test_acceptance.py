@@ -12,10 +12,11 @@ from casim.affine_ca import (AffineAlgebra, canonical_additive, check_structure,
 from casim.ca_core import (LocalAlgebra, are_isomorphic, check_translation, eca,
                            enumerate_congruences, enumerate_subalgebras, evolve,
                            iterative_power, product, quotient, restrict)
-from casim.fp_linalg import FpMatrix, all_subspaces, is_invariant, is_simple
+from casim.fp_linalg import FpMatrix, is_invariant, is_simple
 from casim.simulation import (SearchBounds, replay_derivation, simulates,
                               verify_affine_closure, verify_characterization)
-from conftest import all_canonical_rules, doubly_bijective_rules, random_affine_f2
+from conftest import (all_canonical_rules, all_subspaces, doubly_bijective_rules,
+                      random_affine_f2)
 
 
 @contextmanager

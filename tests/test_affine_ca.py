@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -8,9 +9,11 @@ from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, affine_isomorphis
                              component_matrices, coset_congruence, e0_evolution,
                              fit_affine, fit_canonical_additive, interleaving_bijection,
                              is_affine_up_to_iso, is_doubly_bijective, quotient_affine,
-                             subalgebra_affine, to_table, verify_splitting)
+                             subalgebra_affine, to_table, verify_splitting,
+                             _verify_coset_embedding)
 from casim.ca_core import (Congruence, are_isomorphic, eca, enumerate_congruences,
                            enumerate_subalgebras, iterative_power, product, quotient)
+from casim.caps import DEFAULT_CAPS, CapExceeded, Caps
 from casim.fp_linalg import FpMatrix, Subspace, common_invariant_subspaces, is_invariant
 from conftest import all_canonical_rules, doubly_bijective_rules, random_affine_f2
 
@@ -291,6 +294,34 @@ def test_subalgebra_affine_reports_failing_vector():
         subalgebra_affine(mixed, Subspace.span(2, 2, [(1, 1)]), (0, 0))
 
 
+def test_coset_embedding_names_first_failing_neighborhood(rng):
+    # a wrong sub-rule is rejected at the first neighborhood, in table
+    # order, where sub and the ambient rule disagree through the embedding
+    affine = fit_affine(product([eca(90), eca(150)]), 2)
+    skew = Subspace.span(2, 2, [(0, 1)])
+    wrong = fit_affine(eca(90), 2)  # the right sub-rule is ECA 150
+    with pytest.raises(RuntimeError, match=re.escape("commute on (0, 1, 0)")):
+        _verify_coset_embedding(affine, skew, (0, 0), wrong, DEFAULT_CAPS)
+    checked = 0
+    for _ in range(12):
+        algebra = random_affine_f2(rng, d=3, require_witnesses=False)
+        sub = random_affine_f2(rng, d=1, require_witnesses=False)
+        space = Subspace.span(2, 3, [(1, 1, 0)])
+        anchor = tuple(rng.randrange(2) for _ in range(3))
+        embed = [anchor, tuple((a + w) % 2 for a, w in zip(anchor, space.basis[0]))]
+        sub_table = to_table(sub)
+        failing = next((nb for nb in itertools.product(range(2), repeat=3)
+                        if embed[sub_table.apply(nb)]
+                        != algebra.apply_vectors([embed[t] for t in nb])), None)
+        if failing is None:
+            _verify_coset_embedding(algebra, space, anchor, sub, DEFAULT_CAPS)
+            continue
+        checked += 1
+        with pytest.raises(RuntimeError, match=re.escape(f"commute on {failing}")):
+            _verify_coset_embedding(algebra, space, anchor, sub, DEFAULT_CAPS)
+    assert checked > 0
+
+
 def test_quotient_affine_projects_second_factor():
     affine = fit_affine(product([eca(90), eca(150)]), 2)
     image = quotient_affine(affine, Subspace.span(2, 2, [(1, 0)]))
@@ -375,6 +406,15 @@ def test_counterexamples_break_linearity():
     image = quotient(ptable, orbit)
     assert image.m == 3
     assert is_affine_up_to_iso(image, 2) is None
+
+
+def test_affine_isomorphism_gated_by_onedim_cap():
+    # identity components commute with all 16 matrices over F_2
+    identity = AffineAlgebra(2, 2, 1, tuple(FpMatrix.identity(2, 2) for _ in range(3)), (0, 0))
+    assert affine_isomorphism(identity, identity) is not None
+    with pytest.raises(CapExceeded):
+        affine_isomorphism(identity, identity, Caps(onedim_cap=15))
+    assert affine_isomorphism(identity, identity, Caps(onedim_cap=16)) is not None
 
 
 def test_affine_isomorphism_matches_general_search(rng):

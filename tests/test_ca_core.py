@@ -372,27 +372,80 @@ def test_iso_identity_and_failure():
     assert are_isomorphic(eca(90), eca(150)) is None
 
 
+def _least_conjugating_permutation(a, b):
+    """Brute-force oracle: the least permutation phi with
+    phi(f(x)) = g(phi(x)) on every neighborhood, or None."""
+    neighborhoods = list(itertools.product(range(a.m), repeat=a.arity))
+    return next((phi for phi in itertools.permutations(range(a.m))
+                 if all(phi[a.apply(nb)] == b.apply([phi[x] for x in nb])
+                        for nb in neighborhoods)), None)
+
+
+def _pair_with_collapsing_map(rng):
+    """a = c x k, and a 4-state b holding c on {0, 1}, for 2-state rules
+    c and k with f(0,0,0) = 1, f(1,1,1) = 0 and each output 4 times.
+    Every state of a and b has one signature, and (x, i) -> x is a
+    homomorphism from a into b that is not a bijection."""
+    def swap_rule():
+        while True:
+            table = (1,) + tuple(rng.randrange(2) for _ in range(6)) + (0,)
+            if sum(table) == 4:
+                return LocalAlgebra(2, 1, table)
+
+    c, k = swap_rule(), swap_rule()
+    table = [c.apply(nb) if max(nb) < 2 else None
+             for nb in itertools.product(range(4), repeat=3)]
+    table[42], table[63] = 3, 2  # f(2,2,2) = 3 and f(3,3,3) = 2
+    pool = [s for s in range(4) for _ in range(16 - table.count(s))]
+    rng.shuffle(pool)
+    fill = iter(pool)
+    return product([c, k]), LocalAlgebra(4, 1, tuple(
+        next(fill) if out is None else out for out in table))
+
+
 def test_iso_returns_lex_least(rng):
-    # relabel a rule by a nontrivial bijection; the witness found must be
-    # the lexicographically least among all valid ones
-    for _ in range(10):
-        algebra = random_local_algebra(rng, 3)
-        sigma = [0, 1, 2]
-        rng.shuffle(sigma)
-        inverse = [sigma.index(s) for s in range(3)]
-        relabeled = LocalAlgebra(3, 1, tuple(
-            sigma[algebra.apply([inverse[y] for y in nb])]
-            for nb in itertools.product(range(3), repeat=3)))
-        assert _relabeled_table(algebra, sigma) == relabeled
-        assert _bijection_conjugates(algebra, relabeled, sigma)
-        assert _relabeled_table(relabeled, inverse) == algebra
-        assert _bijection_conjugates(relabeled, algebra, inverse)
-        witness = are_isomorphic(algebra, relabeled)
-        assert witness is not None
-        valid = [phi for phi in itertools.permutations(range(3))
-                 if all(phi[algebra.apply(nb)] == relabeled.apply([phi[x] for x in nb])
-                        for nb in itertools.product(range(3), repeat=3))]
-        assert witness == min(valid)
+    # differential against the permutation oracle: None exactly when no
+    # conjugating permutation exists, otherwise the least one.  Relabeled
+    # pairs (random, low-image and symmetric rules, which have many
+    # witnesses), relabeled pairs with one entry changed, and unrelated
+    # random pairs
+    shapes = [(m, r) for m in range(2, 6) for r in (0, 1)] + [(2, 2), (3, 2)]
+    found = missed = 0
+    for m, r in shapes:
+        arity = 2 * r + 1
+        symmetric = LocalAlgebra.from_function(m, r, lambda *x: x[0] + x[-1] + 1)
+        for trial in range(8):
+            if trial % 4 == 3:
+                algebra = symmetric
+            elif trial % 4 == 2:
+                algebra = LocalAlgebra(m, r, tuple(rng.randrange(2) for _ in range(m ** arity)))
+            else:
+                algebra = random_local_algebra(rng, m, r)
+            sigma = list(range(m))
+            rng.shuffle(sigma)
+            inverse = [sigma.index(s) for s in range(m)]
+            relabeled = LocalAlgebra(m, r, tuple(
+                sigma[algebra.apply([inverse[y] for y in nb])]
+                for nb in itertools.product(range(m), repeat=arity)))
+            assert _relabeled_table(algebra, sigma) == relabeled
+            assert _bijection_conjugates(algebra, relabeled, sigma)
+            assert _relabeled_table(relabeled, inverse) == algebra
+            assert _bijection_conjugates(relabeled, algebra, inverse)
+            changed = list(relabeled.table)
+            v = rng.randrange(len(changed))
+            changed[v] = (changed[v] + 1 + rng.randrange(m - 1)) % m
+            pairs = [(algebra, relabeled), (algebra, LocalAlgebra(m, r, tuple(changed))),
+                     (algebra, random_local_algebra(rng, m, r))]
+            for a, b in pairs:
+                expected = _least_conjugating_permutation(a, b)
+                assert are_isomorphic(a, b) == expected, (a, b)
+                found += expected is not None
+                missed += expected is None
+    # propagation must not map two states to one image
+    for _ in range(4):
+        a, b = _pair_with_collapsing_map(rng)
+        assert are_isomorphic(a, b) == _least_conjugating_permutation(a, b), (a, b)
+    assert found > 0 and missed > 0
 
 
 def test_iso_is_equivalence(rng):

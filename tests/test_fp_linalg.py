@@ -5,9 +5,10 @@ import pytest
 
 from casim.ca_core import LocalAlgebra, enumerate_congruences, enumerate_subalgebras
 from casim.caps import CapExceeded, Caps
-from casim.fp_linalg import (FpMatrix, Subspace, all_subspaces, common_invariant_subspaces,
-                             invariant_closure, is_invariant, is_prime, is_simple,
-                             nullspace_basis, one_dim_representatives, rref, solve)
+from casim.fp_linalg import (FpMatrix, Subspace, common_invariant_subspaces, invariant_closure,
+                             is_invariant, is_prime, is_simple, nullspace_basis,
+                             one_dim_representatives, rref, solve)
+from conftest import all_subspaces
 
 
 def random_matrix(rng, p, rows, cols):
