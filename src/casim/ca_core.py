@@ -411,32 +411,6 @@ def _partition_of_labels(labels: Sequence[int]) -> tuple[Word, ...]:
     return canonical_partition(groups.values())
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-    def labels(self) -> list[int]:
-        return [self.find(x) for x in range(len(self.parent))]
-
-
 @functools.lru_cache(maxsize=1)
 def _translations(algebra: LocalAlgebra) -> list[dict[Word, int]]:
     """The basic translations x -> f(c_1..x..c_k), one dict per position.
@@ -458,31 +432,34 @@ def _translations(algebra: LocalAlgebra) -> list[dict[Word, int]]:
     return translations
 
 
-def _principal_congruence(maps: Sequence[Word], m: int, a: int, b: int) -> tuple[Word, ...]:
-    """Partition of the smallest congruence identifying a and b, by
-    union-find propagation under the non-constant basic translations
-    `maps` of an m-state algebra (Freese 2008)."""
-    uf = _UnionFind(m)
-    queue = [(a, b)]
-    while queue:
-        x, y = queue.pop()
-        if not uf.union(x, y):
-            continue
-        for t in maps:
-            u, v = t[x], t[y]
-            if uf.find(u) != uf.find(v):
-                queue.append((u, v))
-    return _partition_of_labels(uf.labels())
+def _merge(label: Sequence[int], x: int, y: int) -> Sequence[int]:
+    """The least-state label vector with the classes of x and y merged."""
+    lo, hi = sorted((label[x], label[y]))
+    return label if lo == hi else [lo if k == hi else k for k in label]
 
 
-def _join_partitions(p1: tuple[Word, ...], p2: tuple[Word, ...], m: int) -> tuple[Word, ...]:
-    uf = _UnionFind(m)
-    for part in (p1, p2):
-        for block in part:
-            first = block[0]
-            for x in block[1:]:
-                uf.union(first, x)
-    return _partition_of_labels(uf.labels())
+def _principal_congruence(columns: Sequence[Word], m: int, a: int, b: int) -> Word:
+    """Least-state labels of the smallest congruence identifying a and b.
+
+    `columns[x]` lists the images of state x under the non-constant
+    basic translations; each merged pair pushes its distinct successor
+    pairs, which by transitivity is enough (Freese 2008).
+    """
+    label: Sequence[int] = tuple(range(m))
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if label[x] != label[y]:
+            label = _merge(label, x, y)
+            stack.extend(set(zip(columns[x], columns[y])))
+    return tuple(label)
+
+
+def _join_labels(l1: Word, l2: Word) -> Word:
+    label: Sequence[int] = l1
+    for x, lead in enumerate(l2):
+        label = _merge(label, x, lead)
+    return tuple(label)
 
 
 def enumerate_congruences(algebra: LocalAlgebra, caps: Caps = DEFAULT_CAPS) -> list[Congruence]:
@@ -491,19 +468,21 @@ def enumerate_congruences(algebra: LocalAlgebra, caps: Caps = DEFAULT_CAPS) -> l
     Every congruence is the join of the principal congruences of its
     related pairs, and the join of congruences (transitive closure of
     the union) is again a congruence, so this enumeration is complete.
-    Ordered finest to coarsest (block count descending, then blocks).
+    Partitions are handled as least-state label vectors, equal exactly
+    when the partitions are.  Ordered finest to coarsest (block count
+    descending, then blocks).
     """
     m = algebra.m
     require(m <= caps.congruence_cap,
             f"congruence enumeration needs m <= {caps.congruence_cap}, got {m}")
     maps = list(dict.fromkeys(t for translations in _translations(algebra)
                               for t in translations if len(set(t)) > 1))
-    principals = [_principal_congruence(maps, m, a, b)
+    columns = list(zip(*maps)) or [()] * m
+    principals = [_principal_congruence(columns, m, a, b)
                   for a in range(m) for b in range(a + 1, m)]
-    found = join_closure(tuple((x,) for x in range(m)), principals,
-                         lambda p1, p2: _join_partitions(p1, p2, m),
+    found = join_closure(tuple(range(m)), principals, _join_labels,
                          caps.lattice_cap, "congruence lattice")
-    ordered = sorted(found, key=lambda part: (-len(part), part))
+    ordered = sorted(map(_partition_of_labels, found), key=lambda part: (-len(part), part))
     return [Congruence(algebra, part) for part in ordered]
 
 

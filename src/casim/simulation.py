@@ -39,6 +39,13 @@ class SearchBounds:
     k_max: int = 2
     size_cap: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.n_max < 1 or self.k_max < 1:
+            raise ValueError(f"search bounds need n_max >= 1 and k_max >= 1, "
+                             f"got {self.n_max} and {self.k_max}")
+        if self.size_cap is not None and self.size_cap < 1:
+            raise ValueError(f"search bounds need size_cap >= 1, got {self.size_cap}")
+
     def effective_size_cap(self, m: int) -> int:
         if self.size_cap is not None:
             return self.size_cap
@@ -185,15 +192,6 @@ def closure_members(generator: LocalAlgebra, bounds: SearchBounds = DEFAULT_BOUN
     # skipping by the stated bounds is not incompleteness; only internal
     # cap truncation makes the inventory partial
     complete = True
-    exponents = []
-    for n in range(1, bounds.n_max + 1):
-        size = generator.m ** n
-        if size > size_cap:
-            continue
-        if size ** generator.arity > caps.table_cap:
-            complete = False
-            continue
-        exponents.append(n)
     powers = _Powers(generator, caps)
 
     members: list[ClosureMember] = []
@@ -211,7 +209,8 @@ def closure_members(generator: LocalAlgebra, bounds: SearchBounds = DEFAULT_BOUN
     seen_products: set[tuple] = set()
     seen_restrictions: set[tuple] = set()
     for k in range(1, bounds.k_max + 1):
-        for multiset in itertools.combinations_with_replacement(exponents, k):
+        for multiset in itertools.combinations_with_replacement(
+                range(1, bounds.n_max + 1), k):
             size = generator.m ** sum(multiset)
             if size > size_cap:
                 continue
@@ -317,6 +316,19 @@ def _partitions_with_parts(total: int, coprime_to: int | None = None) -> Iterato
     return recurse(total, total)
 
 
+def _power_product_match(powers: _Powers, matcher: _IsoMatcher, target: LocalAlgebra,
+                         exponent: int, coprime_to: int | None = None
+                         ) -> tuple[tuple[int, ...], Word] | None:
+    """The first multiset of exponents summing to `exponent` (in
+    `_partitions_with_parts` order) whose product of powers is
+    isomorphic to `target`, with the isomorphism, or None."""
+    for multiset in _partitions_with_parts(exponent, coprime_to):
+        iso = matcher.find(powers.product(multiset), target)
+        if iso is not None:
+            return multiset, iso
+    return None
+
+
 def simulates(target: LocalAlgebra, simulator: LocalAlgebra,
               bounds: SearchBounds = DEFAULT_BOUNDS,
               caps: Caps = DEFAULT_CAPS) -> SimulationVerdict:
@@ -366,14 +378,13 @@ def _decide_doubly_bijective(target: LocalAlgebra, simulator: LocalAlgebra,
                 f"{target.m} is not such a power"))
     require(target.m ** target.arity <= caps.table_cap,
             f"target table of {target.m ** target.arity} entries exceeds the cap")
-    powers = _Powers(simulator, caps)
-    for multiset in _partitions_with_parts(exponent, coprime_to=p):
-        candidate = powers.product(multiset)
-        iso = matcher.find(candidate, target)
-        if iso is not None:
-            derivation = Derivation(multiset, _full_carrier(candidate),
-                                    _discrete_partition(candidate.m))
-            return SimulationVerdict("yes", witness=SimulationWitness(derivation, iso))
+    match = _power_product_match(_Powers(simulator, caps), matcher, target,
+                                 exponent, coprime_to=p)
+    if match is not None:
+        multiset, iso = match
+        derivation = Derivation(multiset, _full_carrier(target),
+                                _discrete_partition(target.m))
+        return SimulationVerdict("yes", witness=SimulationWitness(derivation, iso))
     return SimulationVerdict(
         "no", reason=(
             "the simulator is doubly bijective canonical additive, so its closure is "
@@ -479,18 +490,13 @@ def verify_characterization(rule: CanonicalAdditive, bounds: SearchBounds = DEFA
                 member.derivation, member.size, False, None, None,
                 f"size {member.size} is not a power of {p}"))
             continue
-        matched = None
-        iso = None
-        for multiset in _partitions_with_parts(exponent):
-            iso = matcher.find(powers.product(multiset), member.algebra)
-            if iso is not None:
-                matched = multiset
-                break
-        if matched is None:
+        match = _power_product_match(powers, matcher, member.algebra, exponent)
+        if match is None:
             items.append(CharacterizationItem(
                 member.derivation, member.size, False, None, None,
                 "isomorphic to no product of iterative powers"))
         else:
+            matched, iso = match
             items.append(CharacterizationItem(
                 member.derivation, member.size, True, matched, iso,
                 "x".join(f"B^[{n}]" for n in matched)))

@@ -9,11 +9,12 @@ from casim.affine_ca import _bijection_conjugates, _relabeled_table
 from casim.caps import CapExceeded, Caps
 from casim.ca_core import (Congruence, LocalAlgebra, _partition_of_labels,
                            _principal_congruence, _subalgebra_closure, _translations,
-                           _UnionFind, are_isomorphic, canonical_partition,
+                           are_isomorphic, canonical_partition,
                            check_translation, decode_word, eca, encode_word,
                            enumerate_congruences, enumerate_subalgebras, evolve, idempotents,
                            iterative_power, pack, permutivity, product, quotient, restrict,
                            singleton, unpack, unravel, wolfram_number)
+from casim.fp_linalg import join_closure
 from conftest import random_local_algebra
 
 
@@ -25,23 +26,90 @@ def random_lattice_algebra(rng):
 
 
 def principal_congruence_oracle(algebra, a, b):
-    """Smallest congruence identifying a and b, by union-find propagation
-    of one-coordinate substitutions over every context."""
+    """Smallest congruence identifying a and b, as blocks: merge a and b,
+    then merge the images of every related pair under every
+    one-coordinate substitution over every context until nothing
+    changes."""
     m, arity = algebra.m, algebra.arity
-    uf = _UnionFind(m)
     contexts = list(itertools.product(range(m), repeat=arity - 1))
-    queue = [(a, b)]
-    while queue:
-        x, y = queue.pop()
-        if not uf.union(x, y):
-            continue
-        for pos in range(arity):
-            for ctx in contexts:
-                u = algebra.apply(ctx[:pos] + (x,) + ctx[pos:])
-                v = algebra.apply(ctx[:pos] + (y,) + ctx[pos:])
-                if uf.find(u) != uf.find(v):
-                    queue.append((u, v))
-    return _partition_of_labels(uf.labels())
+    block_of = {x: frozenset([x]) for x in range(m)}
+
+    def relate(x, y):
+        if block_of[x] is block_of[y]:
+            return False
+        merged = block_of[x] | block_of[y]
+        for z in merged:
+            block_of[z] = merged
+        return True
+
+    changed = relate(a, b)
+    while changed:
+        changed = False
+        for x, y in itertools.combinations(range(m), 2):
+            if block_of[x] is not block_of[y]:
+                continue
+            for pos in range(arity):
+                for ctx in contexts:
+                    u = algebra.apply(ctx[:pos] + (x,) + ctx[pos:])
+                    v = algebra.apply(ctx[:pos] + (y,) + ctx[pos:])
+                    changed |= relate(u, v)
+    return canonical_partition(set(block_of.values()))
+
+
+def least_state_labels(blocks):
+    """Each state labeled by the least state of its block."""
+    return tuple(min(block) for x in range(sum(map(len, blocks)))
+                 for block in blocks if x in block)
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = sorted((self.find(a), self.find(b)))
+        self.parent[rb] = ra
+        return ra != rb
+
+    def labels(self):
+        return [self.find(x) for x in range(len(self.parent))]
+
+
+def congruences_union_find_oracle(algebra):
+    """Every congruence's blocks, finest to coarsest: union-find
+    principal congruences, which push the images under every
+    non-constant translation not yet related, joined by union-find
+    over the blocks of both partitions."""
+    m = algebra.m
+    maps = list(dict.fromkeys(t for translations in _translations(algebra)
+                              for t in translations if len(set(t)) > 1))
+
+    def principal(a, b):
+        uf = _UnionFind(m)
+        queue = [(a, b)]
+        while queue:
+            x, y = queue.pop()
+            if uf.union(x, y):
+                queue.extend((t[x], t[y]) for t in maps
+                             if uf.find(t[x]) != uf.find(t[y]))
+        return _partition_of_labels(uf.labels())
+
+    def join(p1, p2):
+        uf = _UnionFind(m)
+        for block in p1 + p2:
+            for x in block[1:]:
+                uf.union(block[0], x)
+        return _partition_of_labels(uf.labels())
+
+    principals = [principal(a, b) for a in range(m) for b in range(a + 1, m)]
+    found = join_closure(tuple((x,) for x in range(m)), principals, join,
+                         Caps().lattice_cap, "congruence lattice")
+    return sorted(found, key=lambda part: (-len(part), part))
 
 
 def permutivity_oracle(algebra):
@@ -330,10 +398,25 @@ def test_principal_congruences_match_context_scan_oracle(rng):
         m = algebra.m
         maps = [t for translations in _translations(algebra) for t in translations
                 if len(set(t)) > 1]
+        columns = list(zip(*maps)) or [()] * m
         for a in range(m):
             for b in range(a + 1, m):
-                assert _principal_congruence(maps, m, a, b) == \
-                    principal_congruence_oracle(algebra, a, b)
+                assert _principal_congruence(columns, m, a, b) == \
+                    least_state_labels(principal_congruence_oracle(algebra, a, b))
+
+
+@pytest.mark.parametrize("number", [30, 110, 150])
+def test_congruences_match_union_find_oracle_on_eca_powers(number):
+    """Restrictions of B^[3] and B^[2]xB^[2] (8 and 16 states), whose
+    translations have long cycles."""
+    b = eca(number)
+    b2 = iterative_power(b, 2)
+    caps = Caps().scaled_to(16)
+    for power in (iterative_power(b, 3), product([b2, b2])):
+        for carrier in enumerate_subalgebras(power):
+            algebra = restrict(power, carrier)
+            assert [c.blocks for c in enumerate_congruences(algebra, caps)] == \
+                congruences_union_find_oracle(algebra)
 
 
 def test_quotient_parity(z4_rule):

@@ -245,7 +245,7 @@ def test_cmd_verify_affine_closure(monkeypatch, capsys):
     assert code == 0 and "RESULT: PASS" in out
 
 
-def test_exit_codes_for_bad_input(monkeypatch, capsys):
+def test_exit_codes_for_bad_input(monkeypatch, capsys, tmp_path):
     code, _, err = run_cli(["show"], "garbage\n", monkeypatch, capsys)
     assert code == 2 and "casim:" in err
     # 2^(9*3) entries blow the default table cap
@@ -261,6 +261,20 @@ def test_exit_codes_for_bad_input(monkeypatch, capsys):
     _, power5, _ = run_cli(["power", "-n", "5"], ca30, monkeypatch, capsys)
     code, out, err = run_cli(["subalgebras"], power5, monkeypatch, capsys)
     assert code == 2 and out == "" and "cap" in err and "Traceback" not in err
+    # empty search bounds are refused, not answered with a vacuous PASS
+    _, rule, _ = run_cli(["canonical", "-p", "3", "-a", "1", "1", "1"], "",
+                         monkeypatch, capsys)
+    for argv in (["verify", "characterization", "--n-max", "0"],
+                 ["verify", "affine-closure", "--k-max", "0"],
+                 ["verify", "affine-closure", "--size-cap", "-3"]):
+        code, out, err = run_cli(argv, rule, monkeypatch, capsys)
+        assert code == 2 and out == "" and "search bounds need" in err
+        assert "Traceback" not in err
+    target = tmp_path / "eca30.ca"
+    target.write_text(ca30, encoding="ascii")
+    code, out, err = run_cli(["simulates", str(target), "--n-max", "0"], ca30,
+                             monkeypatch, capsys)
+    assert code == 2 and out == "" and "search bounds need" in err
 
 
 def test_module_pipeline_from_checkout():

@@ -1,6 +1,7 @@
 import pytest
 
 from casim.affine_ca import canonical_additive, fit_affine
+from casim.caps import Caps
 from casim.ca_core import (LocalAlgebra, are_isomorphic, eca, enumerate_congruences,
                            enumerate_subalgebras, product, quotient, restrict,
                            singleton)
@@ -10,6 +11,22 @@ from casim.simulation import (SearchBounds, classify_canonical, closure_members,
 from conftest import random_local_algebra
 
 SMALL = SearchBounds(1, 1)
+
+
+@pytest.mark.parametrize("bounds", [(0, 1), (1, 0), (-2, 2), (2, 2, 0), (2, 2, -3)])
+def test_search_bounds_reject_empty_searches(bounds):
+    with pytest.raises(ValueError, match="search bounds need"):
+        SearchBounds(*bounds)
+
+
+def test_closure_members_incomplete_past_table_cap():
+    # B^[3] of ECA 110 has 8^3 = 512 table entries, above table_cap 200;
+    # B^[1] (8 entries) and B^[2] (64 entries) stay within it
+    caps = Caps(table_cap=200)
+    cut = closure_members(eca(110), SearchBounds(3, 1), caps)
+    within = closure_members(eca(110), SearchBounds(2, 1), caps)
+    assert not cut.complete and within.complete
+    assert cut.members == within.members
 
 
 def test_closure_of_singleton():
