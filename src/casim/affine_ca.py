@@ -309,57 +309,55 @@ class CoefficientProfile:
         return self.values[k + self.reach]
 
 
-def e0_evolution(rule: CanonicalAdditive, n: int) -> CoefficientProfile:
+def e0_evolution(rule: CanonicalAdditive, n: int,
+                 caps: Caps = DEFAULT_CAPS) -> CoefficientProfile:
     """Coefficients of l(x)^n, re-indexed so position k holds F^n(e^0)_k.
 
     l(x) = a_r x^(-r) + ... + a_{-r} x^r, so a single step places a_{-k}
-    at position k; powers are computed by binary exponentiation of the
-    dense coefficient list mod p.
+    at position k.  Over F_p, l(x)^(p^j) = l(x^(p^j)), so l(x)^n is the
+    product of the factors l(x^(p^j)), each taken n_j times, where n_j
+    are the base-p digits of n; a factor is the 2r+1 coefficients spread
+    p^j apart, multiplied in by shift-and-add.
     """
     if n < 1:
         raise ValueError("the seed evolution needs n >= 1")
     p, r = rule.p, rule.r
+    require(2 * n * r + 1 <= caps.table_cap,
+            f"seed profile needs {2 * n * r + 1} entries, cap {caps.table_cap}")
     # dense coefficients on exponents -r..r; exponent k holds a_{-k}
-    base = [rule.coefficient(-k) for k in range(-r, r + 1)]
-
-    def multiply(f: list[int], g: list[int]) -> list[int]:
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if a:
-                for j, b in enumerate(g):
-                    if b:
-                        out[i + j] = (out[i + j] + a * b) % p
-        return out
-
-    result = [1]
-    power = base
-    k = n
-    while k:
-        if k & 1:
-            result = multiply(result, power)
-        k >>= 1
-        if k:
-            power = multiply(power, power)
-    reach = (len(result) - 1) // 2
-    padded = [0] * (n * r - reach) + result + [0] * (n * r - reach)
-    return CoefficientProfile(p, n, tuple(padded))
+    base = rule.coefficients[::-1]
+    values = [1]
+    rest, spacing = n, 1
+    while rest:
+        rest, digit = divmod(rest, p)
+        for _ in range(digit):
+            size = len(values)
+            out = [0] * (size + 2 * r * spacing)
+            for k, a in enumerate(base):
+                at = k * spacing
+                out[at:at + size] = [x + a * y for x, y in zip(out[at:at + size], values)]
+            values = [x % p for x in out]
+        spacing *= p
+    return CoefficientProfile(p, n, tuple(values))
 
 
-def component_matrices(rule: CanonicalAdditive, n: int) -> list[FpMatrix]:
+def component_matrices(rule: CanonicalAdditive, n: int,
+                       caps: Caps = DEFAULT_CAPS) -> list[FpMatrix]:
     """Component matrices of the n-th iterative power in the canonical basis.
 
     Each matrix is Toeplitz in the seed evolution: the block for
-    position i has entry c_{-i*n + (row - col)}, which concatenates row
-    by row into shifted copies of the reflected profile.
+    position i has entry c_{-i*n + (row - col)}, so its row t is a slice
+    of the zero-padded, reversed profile.
     """
-    profile = e0_evolution(rule, n)
+    require(rule.arity * n * n <= caps.table_cap,
+            f"component matrices need {rule.arity * n * n} entries, cap {caps.table_cap}")
+    profile = e0_evolution(rule, n, caps)
+    reflected = ((0,) * n + profile.values + (0,) * n)[::-1]
     matrices = []
     for i in range(-rule.r, rule.r + 1):
-        center = -i * n
-        entries = tuple(
-            tuple(profile.value_at(center + t - j) for j in range(n))
-            for t in range(n))
-        matrices.append(FpMatrix(rule.p, n, n, entries))
+        s = (rule.r + 1 + i) * n
+        rows = tuple(reflected[s - t:s - t + n] for t in range(n))
+        matrices.append(FpMatrix(rule.p, n, n, rows))
     return matrices
 
 
@@ -393,7 +391,8 @@ class StructureReport:
         return [check for check in self.checks if not check.passed]
 
 
-def check_structure(rule: CanonicalAdditive, n: int) -> StructureReport:
+def check_structure(rule: CanonicalAdditive, n: int,
+                    caps: Caps = DEFAULT_CAPS) -> StructureReport:
     """Check the banded-triangular shape of the outermost component
     matrices: zero blocks outside the support, powers of the outermost
     coefficients on the diagonal, and the two closest off-diagonal bands
@@ -405,65 +404,44 @@ def check_structure(rule: CanonicalAdditive, n: int) -> StructureReport:
     if not support:
         raise ValueError("the all-zero rule has no structure to check")
     i, j = support[0], support[-1]
-    p = rule.p
-    matrices = component_matrices(rule, n)
+    p, r = rule.p, rule.r
+    matrices = component_matrices(rule, n, caps)
     checks: list[StructureCheck] = []
 
     def coefficient(offset: int) -> int:
-        if not -rule.r <= offset <= rule.r:
+        if not -r <= offset <= r:
             return 0
         return rule.coefficient(offset)
 
-    def band(mat: FpMatrix, k: int) -> tuple[int, ...]:
+    def band(offset: int, k: int) -> tuple[int, ...]:
         """Band at row - col = k (negative k is above the diagonal)."""
+        mat = matrices[offset + r]
         return tuple(mat.entries[t][t - k] for t in range(max(0, k), min(n, n + k)))
 
-    for offset in range(-rule.r, rule.r + 1):
-        mat = matrices[offset + rule.r]
+    def constant_band(name: str, actual: tuple[int, ...], value: int) -> None:
+        expected = (value,) * len(actual)
+        checks.append(StructureCheck(name, actual == expected, expected, actual))
+
+    for offset in range(-r, r + 1):
+        mat = matrices[offset + r]
         if offset < i or offset > j:
             checks.append(StructureCheck(
                 f"component {offset} zero", mat.is_zero(), "zero matrix", mat.entries))
-    a_i, a_j = rule.coefficient(i), rule.coefficient(j)
-    mat_i = matrices[i + rule.r]
-    mat_j = matrices[j + rule.r]
-    lower = tuple(x for k in range(1, n) for x in band(mat_i, k))
-    checks.append(StructureCheck(
-        f"component {i} upper triangular", all(x == 0 for x in lower), "zeros", lower))
-    upper = tuple(x for k in range(1, n) for x in band(mat_j, -k))
-    checks.append(StructureCheck(
-        f"component {j} lower triangular", all(x == 0 for x in upper), "zeros", upper))
-    diag_i = band(mat_i, 0)
-    expected = pow(a_i, n, p)
-    checks.append(StructureCheck(
-        f"component {i} diagonal", diag_i == (expected,) * n, (expected,) * n, diag_i))
-    diag_j = band(mat_j, 0)
-    expected = pow(a_j, n, p)
-    checks.append(StructureCheck(
-        f"component {j} diagonal", diag_j == (expected,) * n, (expected,) * n, diag_j))
-    if n >= 2:
-        expected = (n * pow(a_i, n - 1, p) * coefficient(i + 1)) % p
-        actual = band(mat_i, -1)
-        checks.append(StructureCheck(
-            f"component {i} first superdiagonal",
-            actual == (expected,) * (n - 1), (expected,) * (n - 1), actual))
-        expected = (n * pow(a_j, n - 1, p) * coefficient(j - 1)) % p
-        actual = band(mat_j, 1)
-        checks.append(StructureCheck(
-            f"component {j} first subdiagonal",
-            actual == (expected,) * (n - 1), (expected,) * (n - 1), actual))
-    if n >= 3:
-        expected = (n * pow(a_i, n - 1, p) * coefficient(i + 2)
-                    + math.comb(n, 2) * pow(a_i, n - 2, p) * coefficient(i + 1) ** 2) % p
-        actual = band(mat_i, -2)
-        checks.append(StructureCheck(
-            f"component {i} second superdiagonal",
-            actual == (expected,) * (n - 2), (expected,) * (n - 2), actual))
-        expected = (n * pow(a_j, n - 1, p) * coefficient(j - 2)
-                    + math.comb(n, 2) * pow(a_j, n - 2, p) * coefficient(j - 1) ** 2) % p
-        actual = band(mat_j, 2)
-        checks.append(StructureCheck(
-            f"component {j} second subdiagonal",
-            actual == (expected,) * (n - 2), (expected,) * (n - 2), actual))
+    # the outermost positions and the direction that points into the support
+    sides = ((i, 1, "upper", "superdiagonal"), (j, -1, "lower", "subdiagonal"))
+    for pos, step, shape, _ in sides:
+        outside = tuple(x for k in range(1, n) for x in band(pos, step * k))
+        checks.append(StructureCheck(f"component {pos} {shape} triangular",
+                                     all(x == 0 for x in outside), "zeros", outside))
+    for pos, *_ in sides:
+        constant_band(f"component {pos} diagonal", band(pos, 0), pow(rule.coefficient(pos), n, p))
+    for order, ordinal in ((1, "first"), (2, "second"))[:n - 1]:
+        for pos, step, _, name in sides:
+            a = rule.coefficient(pos)
+            value = n * pow(a, n - 1, p) * coefficient(pos + order * step)
+            if order == 2:
+                value += math.comb(n, 2) * pow(a, n - 2, p) * coefficient(pos + step) ** 2
+            constant_band(f"component {pos} {ordinal} {name}", band(pos, -order * step), value % p)
     return StructureReport(rule, n, i, j, tuple(checks))
 
 

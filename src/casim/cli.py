@@ -419,9 +419,9 @@ def _cmd_fit_affine(io: _Io, caps: Caps) -> int:
     return 0
 
 
-def _cmd_e0(io: _Io) -> int:
+def _cmd_e0(io: _Io, caps: Caps) -> int:
     rule = as_canonical(io.primary_algebra())
-    profile = affine_ca.e0_evolution(rule, io.args.n)
+    profile = affine_ca.e0_evolution(rule, io.args.n, caps)
     io.emit(f"positions {-profile.reach}..{profile.reach}\n")
     io.emit(" ".join(str(x) for x in profile.values) + "\n")
     return 0
@@ -437,7 +437,7 @@ def _cmd_matrices(io: _Io, caps: Caps) -> int:
     algebra = io.primary_algebra()
     if io.args.n is not None:
         rule = as_canonical(algebra)
-        matrices = affine_ca.component_matrices(rule, io.args.n)
+        matrices = affine_ca.component_matrices(rule, io.args.n, caps)
         r = rule.r
     else:
         affine = as_affine(algebra)
@@ -450,9 +450,9 @@ def _cmd_matrices(io: _Io, caps: Caps) -> int:
     return 0
 
 
-def _cmd_structure(io: _Io) -> int:
+def _cmd_structure(io: _Io, caps: Caps) -> int:
     rule = as_canonical(io.primary_algebra())
-    report = affine_ca.check_structure(rule, io.args.n)
+    report = affine_ca.check_structure(rule, io.args.n, caps)
     for check in report.checks:
         status = "ok" if check.passed else "FAIL"
         io.emit(f"{status} {check.name}\n")
@@ -464,15 +464,15 @@ def _cmd_structure(io: _Io) -> int:
 
 def _cmd_invariant_subspaces(io: _Io, caps: Caps) -> int:
     rule = as_canonical(io.primary_algebra())
-    matrices = affine_ca.component_matrices(rule, io.args.n)
+    matrices = affine_ca.component_matrices(rule, io.args.n, caps)
     for space in common_invariant_subspaces(matrices, io.args.n, caps=caps):
         io.emit(f"dim {space.dim}: {space}\n")
     return 0
 
 
-def _cmd_simple(io: _Io) -> int:
+def _cmd_simple(io: _Io, caps: Caps) -> int:
     rule = as_canonical(io.primary_algebra())
-    matrices = affine_ca.component_matrices(rule, io.args.n)
+    matrices = affine_ca.component_matrices(rule, io.args.n, caps)
     simple = is_simple(matrices, io.args.n)
     _result_line(io, "PASS" if simple else "FAIL")
     return 0 if simple else 1
@@ -700,11 +700,11 @@ _COMMANDS = {
     "quotient": _cmd_quotient,
     "iso": _cmd_iso,
     "fit-affine": _cmd_fit_affine,
-    "e0": lambda io, caps: _cmd_e0(io),
+    "e0": _cmd_e0,
     "matrices": _cmd_matrices,
-    "structure": lambda io, caps: _cmd_structure(io),
+    "structure": _cmd_structure,
     "invariant-subspaces": _cmd_invariant_subspaces,
-    "simple": lambda io, caps: _cmd_simple(io),
+    "simple": _cmd_simple,
     "split": _cmd_split,
     "classify": lambda io, caps: _cmd_classify(io),
     "simulates": _cmd_simulates,

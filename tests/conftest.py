@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from casim.affine_ca import AffineAlgebra, CanonicalAdditive, classify_affine
+from casim.affine_ca import AffineAlgebra, CanonicalAdditive, classify_affine, e0_evolution
 from casim.ca_core import LocalAlgebra
 from casim.fp_linalg import FpMatrix, Subspace, is_prime, one_dim_representatives
 
@@ -30,6 +30,16 @@ def doubly_bijective_rules(p, r=1):
     for rule in all_canonical_rules(p, r):
         if is_doubly_bijective(rule):
             yield rule
+
+
+def component_matrices_oracle(rule, n):
+    """Component matrices of the n-th power built entry by entry: the
+    block for position i has entry c_{-i*n + (row - col)} of the seed
+    evolution."""
+    profile = e0_evolution(rule, n)
+    return [FpMatrix(rule.p, n, n, tuple(
+                tuple(profile.value_at(-i * n + t - j) for j in range(n)) for t in range(n)))
+            for i in range(-rule.r, rule.r + 1)]
 
 
 def all_subspaces(p, n):

@@ -12,10 +12,11 @@ from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, affine_isomorphis
                              subalgebra_affine, to_table, verify_splitting,
                              _verify_coset_embedding)
 from casim.ca_core import (Congruence, are_isomorphic, eca, enumerate_congruences,
-                           enumerate_subalgebras, iterative_power, product, quotient)
+                           enumerate_subalgebras, evolve, iterative_power, product, quotient)
 from casim.caps import DEFAULT_CAPS, CapExceeded, Caps
 from casim.fp_linalg import FpMatrix, Subspace, common_invariant_subspaces, is_invariant
-from conftest import all_canonical_rules, doubly_bijective_rules, random_affine_f2
+from conftest import (all_canonical_rules, component_matrices_oracle, doubly_bijective_rules,
+                      random_affine_f2)
 
 
 def test_to_table_eca_cases():
@@ -192,6 +193,52 @@ def test_component_matrices_match_power_table(rng):
                     assert tuple(column) == tuple(row[t] for row in mats[i + 1].entries)
 
 
+def seed_oracle_rules(rng, p, r):
+    """The all-ones rule, a zero rule at r = 0, and random rules with a
+    zero at the centre or at an outer end."""
+    arity = 2 * r + 1
+    rules = [(1,) * arity, [rng.randrange(p) for _ in range(arity)]]
+    if r == 0:
+        rules.append((0,))
+    else:
+        rules.append([0 if k == r else rng.randrange(1, p) for k in range(arity)])
+        rules.append([0] + [rng.randrange(1, p) for _ in range(arity - 1)])
+    return [canonical_additive(p, coeffs) for coeffs in rules]
+
+
+def test_e0_evolution_matches_evolve_oracle(rng):
+    # the definition: run the rule from a single 1 and read the light cone
+    for p in (2, 3, 5, 7):
+        near_powers = {p ** k + d for k in range(1, 4) for d in (-1, 0, 1)}
+        ns = sorted(set(range(1, 61)) | {n for n in near_powers if 1 <= n <= 130})
+        for r in range(3):
+            for rule in seed_oracle_rules(rng, p, r):
+                diagram = evolve(to_table(rule), (1,), 0, ns[-1])
+                for n in ns:
+                    assert e0_evolution(rule, n).values == diagram.window(n, r), (rule, n)
+
+
+def test_component_matrices_match_entrywise_oracle(rng):
+    for p in (2, 3, 5):
+        for r in range(3):
+            for rule in seed_oracle_rules(rng, p, r):
+                for n in range(1, 31):
+                    assert component_matrices(rule, n) == component_matrices_oracle(rule, n)
+
+
+def test_seed_profile_and_matrices_gated_on_table_cap():
+    rule = canonical_additive(3, [1, 1, 2])
+    # 2nr + 1 = 11 profile entries, (2r + 1) n^2 = 108 matrix entries
+    assert len(e0_evolution(rule, 5, Caps(table_cap=11)).values) == 11
+    with pytest.raises(CapExceeded, match="seed profile needs 11 entries"):
+        e0_evolution(rule, 5, Caps(table_cap=10))
+    assert len(component_matrices(rule, 6, Caps(table_cap=108))) == 3
+    assert check_structure(rule, 6, Caps(table_cap=108)).n == 6
+    for build in (component_matrices, check_structure):
+        with pytest.raises(CapExceeded, match="component matrices need 108 entries"):
+            build(rule, 6, Caps(table_cap=107))
+
+
 def test_first_rows_spell_reflected_profile():
     # the concatenated first rows of the component matrices read off the
     # reflected seed evolution: entry j of block i is c at -(i*n + j)
@@ -232,6 +279,39 @@ def test_check_structure_sweep():
                 continue
             for n in range(1, 7):
                 assert check_structure(rule, n).passed
+
+
+def test_check_structure_pinned_check_lists():
+    zero = ((0, 0, 0),) * 3
+    report = check_structure(canonical_additive(3, [0, 2, 1, 1, 0]), 3)
+    assert (report.least, report.greatest) == (-1, 1)
+    assert [(c.name, c.passed, c.expected, c.actual) for c in report.checks] == [
+        ("component -2 zero", True, "zero matrix", zero),
+        ("component 2 zero", True, "zero matrix", zero),
+        ("component -1 upper triangular", True, "zeros", (0, 0, 0)),
+        ("component 1 lower triangular", True, "zeros", (0, 0, 0)),
+        ("component -1 diagonal", True, (2, 2, 2), (2, 2, 2)),
+        ("component 1 diagonal", True, (1, 1, 1), (1, 1, 1)),
+        ("component -1 first superdiagonal", True, (0, 0), (0, 0)),
+        ("component 1 first subdiagonal", True, (0, 0), (0, 0)),
+        ("component -1 second superdiagonal", True, (0,), (0,)),
+        ("component 1 second subdiagonal", True, (0,), (0,)),
+    ]
+    # a single nonzero coefficient is both outermost positions
+    report = check_structure(canonical_additive(3, [0, 2, 0]), 3)
+    assert (report.least, report.greatest) == (0, 0)
+    assert [(c.name, c.passed, c.expected, c.actual) for c in report.checks] == [
+        ("component -1 zero", True, "zero matrix", zero),
+        ("component 1 zero", True, "zero matrix", zero),
+        ("component 0 upper triangular", True, "zeros", (0, 0, 0)),
+        ("component 0 lower triangular", True, "zeros", (0, 0, 0)),
+        ("component 0 diagonal", True, (2, 2, 2), (2, 2, 2)),
+        ("component 0 diagonal", True, (2, 2, 2), (2, 2, 2)),
+        ("component 0 first superdiagonal", True, (0, 0), (0, 0)),
+        ("component 0 first subdiagonal", True, (0, 0), (0, 0)),
+        ("component 0 second superdiagonal", True, (0,), (0,)),
+        ("component 0 second subdiagonal", True, (0,), (0,)),
+    ]
 
 
 def test_check_structure_rejects_zero_rule():

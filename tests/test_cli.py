@@ -275,6 +275,14 @@ def test_exit_codes_for_bad_input(monkeypatch, capsys, tmp_path):
     code, out, err = run_cli(["simulates", str(target), "--n-max", "0"], ca30,
                              monkeypatch, capsys)
     assert code == 2 and out == "" and "search bounds need" in err
+    # seed profiles and component matrices are gated on the table cap
+    _, rule, _ = run_cli(["canonical", "-p", "3", "-a", "1", "1", "2"], "",
+                         monkeypatch, capsys)
+    for argv in (["--cap", "100", "matrices", "-n", "6"],
+                 ["--cap", "100", "structure", "-n", "6"],
+                 ["--cap", "10", "e0", "-n", "5"]):
+        code, out, err = run_cli(argv, rule, monkeypatch, capsys)
+        assert code == 2 and out == "" and "cap" in err and "Traceback" not in err
 
 
 def test_module_pipeline_from_checkout():
