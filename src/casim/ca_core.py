@@ -205,13 +205,14 @@ def iterative_power(algebra: LocalAlgebra, n: int, caps: Caps = DEFAULT_CAPS) ->
     """
     if n < 1:
         raise ValueError("iterative power exponent must be at least 1")
-    if n == 1:
-        return algebra
+    if n == 1 or algebra.m == 1:
+        return algebra  # a one-state algebra is its own power
     m, r = algebra.m, algebra.r
     length = n * algebra.arity
-    entries = m ** length
-    require(entries <= caps.table_cap,
-            f"iterative power table needs {entries} entries, cap {caps.table_cap}")
+    # m >= 2, so a length past the cap's bit length is over the cap
+    # without computing m ** length
+    require(length < caps.table_cap.bit_length() and m ** length <= caps.table_cap,
+            f"iterative power table needs {m}^{length} entries, cap {caps.table_cap}")
     lengths = [length - 2 * r * i for i in range(n)]
     table: Sequence[int] = range(m ** n)  # no pass yet: the identity on blocks
     for k, lut in enumerate(_pass_luts(algebra, length), algebra.arity):

@@ -119,9 +119,9 @@ def parse_affine(text: str) -> AffineAlgebra:
         raise FormatError(number, f"expected header 'AFFINE v1', got {header!r}")
     p = reader.expect_int_field("p")
     d = reader.expect_int_field("dim")
-    r = reader.expect_int_field("radius")
     if d < 1:
-        raise FormatError(number, "dim must be at least 1")
+        raise FormatError(reader.pos, "dim must be at least 1")
+    r = reader.expect_int_field("radius")
     components = []
     for i in range(-r, r + 1):
         number, line = reader.next_content()

@@ -343,7 +343,7 @@ def join_closure(bottom: Member, generators: Iterable[Member],
     return members
 
 
-def _check_maps(maps: Sequence[FpMatrix], n: int, p: int | None) -> int:
+def _check_maps(maps: Sequence[FpMatrix], n: int, p: int | None = None) -> int:
     for m in maps:
         if m.rows != n or m.cols != n:
             raise ValueError(f"map dimensions {m.rows}x{m.cols} do not match ambient {n}")
@@ -352,7 +352,7 @@ def _check_maps(maps: Sequence[FpMatrix], n: int, p: int | None) -> int:
         elif m.p != p:
             raise ValueError("maps have mismatched moduli")
     if p is None:
-        raise ValueError("cannot infer modulus from an empty map list; pass p explicitly")
+        raise ValueError("cannot infer modulus from an empty map list")
     return p
 
 
@@ -383,7 +383,7 @@ def invariant_closure(seed: Iterable[Sequence[int]], maps: Sequence[FpMatrix],
         space = grown
 
 
-def common_invariant_subspaces(maps: Sequence[FpMatrix], n: int, *, p: int | None = None,
+def common_invariant_subspaces(maps: Sequence[FpMatrix], n: int, *,
                                caps: Caps = DEFAULT_CAPS) -> list[Subspace]:
     """The full lattice of subspaces of F_p^n invariant under all maps.
 
@@ -392,7 +392,7 @@ def common_invariant_subspaces(maps: Sequence[FpMatrix], n: int, *, p: int | Non
     those closures, plus the zero space.  Output is ordered by dimension
     and then lexicographically by RREF basis.
     """
-    p = _check_maps(maps, n, p)
+    p = _check_maps(maps, n)
     reps = (p ** n - 1) // (p - 1)
     require(reps <= caps.onedim_cap,
             f"{reps} one-dimensional subspaces exceed cap {caps.onedim_cap}")
@@ -403,12 +403,10 @@ def common_invariant_subspaces(maps: Sequence[FpMatrix], n: int, *, p: int | Non
     return sorted(lattice, key=Subspace.sort_key)
 
 
-def is_simple(maps: Sequence[FpMatrix], n: int, *, p: int | None = None) -> bool:
+def is_simple(maps: Sequence[FpMatrix], n: int) -> bool:
     """True when only the trivial subspaces are invariant under all maps,
     i.e. every nonzero vector generates the full space."""
-    p = _check_maps(maps, n, p)
-    if n == 0:
-        return True
+    p = _check_maps(maps, n)
     for v in one_dim_representatives(p, n):
         if not invariant_closure([v], maps, p=p, ambient=n).is_full():
             return False

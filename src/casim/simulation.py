@@ -26,7 +26,7 @@ from . import affine_ca, ca_core
 from .affine_ca import AffineAlgebra, CanonicalAdditive
 from .ca_core import Congruence, LocalAlgebra, Word
 from .caps import DEFAULT_CAPS, CapExceeded, Caps, require
-from .fp_linalg import FpMatrix, Subspace, smallest_prime_factor
+from .fp_linalg import smallest_prime_factor
 
 
 @dataclass(frozen=True)
@@ -544,106 +544,26 @@ class AffineClosureReport:
         return [item for item in self.items if not item.ok]
 
 
-def _certify_affine(member: ClosureMember, powers: _Powers, p: int,
-                    caps: Caps) -> tuple[bool, AffineAlgebra | None, str]:
+def _certify_affine(member: ClosureMember, p: int, caps: Caps) -> tuple[bool, str]:
     """Decide whether a closure member is affine over F_p up to
-    relabeling, constructively where possible.
-
-    Ladder: singletons and constant tables are immediate; a direct fit
-    catches members whose relabeling preserved the positional encoding;
-    otherwise the member's own derivation is replayed through the coset
-    machinery (subalgebras of an affine rule are cosets of invariant
-    subspaces, quotients are by coset partitions), which certifies both
-    affinity and the explicit embedding; finally a relabeling search
-    covers small leftovers.
-    """
+    relabeling, and name the rung that decided it: singleton, size not a
+    power of p, constant table, direct fit, then a relabeling search on
+    members of at most `relabel_cap` states."""
     algebra = member.algebra
     if algebra.m == 1:
-        return True, None, "singleton"
+        return True, "singleton"
     if affine_ca._dimension_over(algebra.m, p) is None:
-        return False, None, f"size {algebra.m} is not a power of {p}"
+        return False, f"size {algebra.m} is not a power of {p}"
     first = algebra.table[0]
     if all(x == first for x in algebra.table):
-        d = affine_ca._dimension_over(algebra.m, p)
-        constant = ca_core.decode_word(first, p, d)
-        mats = tuple(FpMatrix.zero(p, d) for _ in range(algebra.arity))
-        return True, AffineAlgebra(p, d, algebra.r, mats, constant), "constant table"
-    direct = affine_ca.fit_affine(algebra, p)
-    if direct is not None:
-        return True, direct, "direct fit"
-    constructed = _coset_construction(member, powers, p, caps)
-    if constructed is not None:
-        return True, constructed, "coset construction"
+        return True, "constant table"
+    if affine_ca.fit_affine(algebra, p) is not None:
+        return True, "direct fit"
     if algebra.m <= caps.relabel_cap:
-        found = affine_ca.is_affine_up_to_iso(algebra, p, caps)
-        if found is not None:
-            return True, found[1], "relabel search"
-        return False, None, "no relabeling yields an affine table"
-    return False, None, "affinity could not be certified within caps"
-
-
-def _coset_construction(member: ClosureMember, powers: _Powers, p: int,
-                        caps: Caps) -> AffineAlgebra | None:
-    """Replay a derivation through the affine machinery: carrier must be
-    a coset of an invariant subspace, partition classes must be cosets
-    of another.  Returns the resulting affine form, verified against the
-    member's table, or None when any step fails to be affine-shaped."""
-    derivation = member.derivation
-    affine_prod = affine_ca.fit_affine(powers.product(derivation.powers), p)
-    if affine_prod is None:
-        return None
-    d = affine_prod.d
-    carrier = derivation.carrier
-    vectors = [ca_core.decode_word(s, p, d) for s in carrier]
-    anchor = vectors[0]
-    diffs = [tuple((x - a) % p for x, a in zip(vec, anchor)) for vec in vectors]
-    space = Subspace.span(p, d, diffs)
-    if p ** space.dim != len(carrier):
-        return None
-    try:
-        sub = affine_ca.subalgebra_affine(affine_prod, space, anchor, caps)
-    except ValueError:
-        return None
-    # mapping: member state index k (carrier order) -> sub-rule state
-    embed = [ca_core.encode_word(space.coordinates(diff), p) if sub.d else 0
-             for diff in diffs]
-    if sorted(embed) != list(range(len(carrier))):
-        return None
-    partition = derivation.partition
-    # partition classes through the embedding, on the sub-rule's states
-    zero_class = next(block for block in partition if 0 in [embed[x] for x in block])
-    class_vectors = [ca_core.decode_word(embed[x], p, sub.d) for x in zero_class]
-    kernel = Subspace.span(p, sub.d, class_vectors)
-    if p ** kernel.dim != len(zero_class):
-        return None
-    for block in partition:
-        block_vecs = [ca_core.decode_word(embed[x], p, sub.d) for x in block]
-        base = block_vecs[0]
-        for vec in block_vecs:
-            if not kernel.contains(tuple((x - y) % p for x, y in zip(vec, base))):
-                return None
-        if len(block) != p ** kernel.dim:
-            return None
-    try:
-        result = affine_ca.quotient_affine(sub, kernel, caps)
-    except ValueError:
-        return None
-    # member state k is the k-th partition block; its image is the
-    # quotient encoding of that block's canonical coset representative
-    result_table = affine_ca.to_table(result, caps)
-    pivots = kernel.pivots()
-    free = [t for t in range(sub.d) if t not in pivots]
-
-    def class_rep_coords(block: Word) -> int:
-        vec = kernel.reduce(ca_core.decode_word(embed[block[0]], p, sub.d))
-        return ca_core.encode_word([vec[t] for t in free], p)
-
-    bijection = tuple(class_rep_coords(block) for block in partition)
-    if sorted(bijection) != list(range(result_table.m)):
-        return None
-    if not affine_ca._bijection_conjugates(member.algebra, result_table, bijection):
-        return None
-    return result
+        if affine_ca.is_affine_up_to_iso(algebra, p, caps) is not None:
+            return True, "relabel search"
+        return False, "no relabeling yields an affine table"
+    return False, "affinity could not be certified within caps"
 
 
 def verify_affine_closure(algebra: AffineAlgebra, bounds: SearchBounds = DEFAULT_BOUNDS,
@@ -651,6 +571,12 @@ def verify_affine_closure(algebra: AffineAlgebra, bounds: SearchBounds = DEFAULT
     """Check that every bounded closure member of an affine rule is
     affine up to isomorphism with the generator's permutivity witnesses
     preserved.
+
+    `_certify_affine` decides each member by a direct fit before any
+    relabeling search.  A coset carrier in ascending order, and a coset
+    partition's blocks by least element, list the cosets in the order of
+    their reduced coordinates, so members built from cosets of invariant
+    subspaces fit directly without replaying their derivations.
 
     For generators with bijective outermost components (left strictly
     left of right) this is the closure theorem and the report passes.
@@ -663,14 +589,13 @@ def verify_affine_closure(algebra: AffineAlgebra, bounds: SearchBounds = DEFAULT
     applicable = classification.in_witness_class
     generator = affine_ca.to_table(algebra, caps)
     inventory = closure_members(generator, bounds, caps)
-    powers = _Powers(generator, caps)
     items = []
     for member in inventory.members:
         if member.size == 1:
             items.append(AffineClosureItem(
                 member.derivation, 1, True, "singleton", (None, None), True, "singleton"))
             continue
-        affine, _form, method = _certify_affine(member, powers, algebra.p, caps)
+        affine, method = _certify_affine(member, algebra.p, caps)
         witnesses = ca_core.permutivity(member.algebra)
         preserved = affine and witnesses == (left, right)
         items.append(AffineClosureItem(

@@ -3,8 +3,11 @@ import random
 
 import pytest
 
-from casim.affine_ca import AffineAlgebra, CanonicalAdditive, classify_affine, e0_evolution
-from casim.ca_core import LocalAlgebra
+from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, _bijection_conjugates,
+                             classify_affine, e0_evolution, fit_affine, quotient_affine,
+                             subalgebra_affine, to_table)
+from casim.caps import DEFAULT_CAPS
+from casim.ca_core import LocalAlgebra, decode_word, encode_word, iterative_power, product
 from casim.fp_linalg import FpMatrix, Subspace, is_prime, one_dim_representatives
 
 
@@ -63,6 +66,67 @@ def all_subspaces(p, n):
                 lattice[joined.basis] = joined
                 pending.append(joined)
     return sorted(lattice.values(), key=Subspace.sort_key)
+
+
+def coset_construction_oracle(member, generator, p, caps=DEFAULT_CAPS):
+    """Replay a closure member's derivation through the affine machinery:
+    the carrier must be a coset of an invariant subspace and the
+    partition classes cosets of another.  Returns the resulting affine
+    form, verified against the member's table, or None when any step
+    fails to be affine-shaped."""
+    derivation = member.derivation
+    powers = [iterative_power(generator, n, caps) for n in derivation.powers]
+    affine_prod = fit_affine(powers[0] if len(powers) == 1 else product(powers, caps), p)
+    if affine_prod is None:
+        return None
+    d = affine_prod.d
+    carrier = derivation.carrier
+    vectors = [decode_word(s, p, d) for s in carrier]
+    anchor = vectors[0]
+    diffs = [tuple((x - a) % p for x, a in zip(vec, anchor)) for vec in vectors]
+    space = Subspace.span(p, d, diffs)
+    if p ** space.dim != len(carrier):
+        return None
+    try:
+        sub = subalgebra_affine(affine_prod, space, anchor, caps)
+    except ValueError:
+        return None
+    # member state k (carrier order) -> sub-rule state
+    embed = [encode_word(space.coordinates(diff), p) if sub.d else 0 for diff in diffs]
+    if sorted(embed) != list(range(len(carrier))):
+        return None
+    partition = derivation.partition
+    zero_class = next(block for block in partition if 0 in [embed[x] for x in block])
+    kernel = Subspace.span(p, sub.d, [decode_word(embed[x], p, sub.d) for x in zero_class])
+    if p ** kernel.dim != len(zero_class):
+        return None
+    for block in partition:
+        block_vecs = [decode_word(embed[x], p, sub.d) for x in block]
+        base = block_vecs[0]
+        for vec in block_vecs:
+            if not kernel.contains(tuple((x - y) % p for x, y in zip(vec, base))):
+                return None
+        if len(block) != p ** kernel.dim:
+            return None
+    try:
+        result = quotient_affine(sub, kernel, caps)
+    except ValueError:
+        return None
+    # member state k is the k-th block; its image encodes the block's
+    # reduced coset representative on the non-pivot coordinates
+    result_table = to_table(result, caps)
+    free = [t for t in range(sub.d) if t not in kernel.pivots()]
+
+    def class_rep_coords(block):
+        vec = kernel.reduce(decode_word(embed[block[0]], p, sub.d))
+        return encode_word([vec[t] for t in free], p)
+
+    bijection = tuple(class_rep_coords(block) for block in partition)
+    if sorted(bijection) != list(range(result_table.m)):
+        return None
+    if not _bijection_conjugates(member.algebra, result_table, bijection):
+        return None
+    return result
 
 
 def random_local_algebra(rng, m, r=1):

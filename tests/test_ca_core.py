@@ -1,5 +1,6 @@
 import ast
 import itertools
+import time
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,20 @@ def test_iterative_power_composition_sample():
 def test_iterative_power_cap():
     with pytest.raises(CapExceeded):
         iterative_power(eca(150), 4, Caps(table_cap=1000))
+    # at the cap the power is built, one entry under it is refused
+    assert iterative_power(eca(150), 3, Caps(table_cap=2 ** 9)).m == 8
+    with pytest.raises(CapExceeded, match=r"2\^9 entries"):
+        iterative_power(eca(150), 3, Caps(table_cap=2 ** 9 - 1))
+
+
+def test_iterative_power_cap_checked_before_arithmetic():
+    # the gate must not build 2^15000 to compare it with the cap
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"2\^15000"):
+        iterative_power(eca(150), 5000)
+    one_state = LocalAlgebra(1, 1, (0,))
+    assert iterative_power(one_state, 100000) is one_state
+    assert time.perf_counter() - start < 1
 
 
 def test_product_examples():

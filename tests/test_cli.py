@@ -45,6 +45,9 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(cli.FormatError) as err:
         cli.parse_ca("CA v1\nstates 2\nbogus 1\n")
     assert "line 3" in str(err.value)
+    with pytest.raises(cli.FormatError) as err:
+        cli.parse_affine("AFFINE v1\np 3\ndim 0\nradius 1\n")
+    assert str(err.value).startswith("line 3:") and "dim must be at least 1" in str(err.value)
     with pytest.raises(cli.FormatError):
         cli.parse_algebra("HELLO\n")
 
@@ -283,6 +286,13 @@ def test_exit_codes_for_bad_input(monkeypatch, capsys, tmp_path):
                  ["--cap", "10", "e0", "-n", "5"]):
         code, out, err = run_cli(argv, rule, monkeypatch, capsys)
         assert code == 2 and out == "" and "cap" in err and "Traceback" not in err
+    # iterative powers far past the cap are refused before m^(n(2r+1)) is built
+    _, ca150, _ = run_cli(["eca", "150"], "", monkeypatch, capsys)
+    _, f3, _ = run_cli(["canonical", "-p", "3", "-a", "1", "1", "1"], "", monkeypatch, capsys)
+    for argv, text, count in ((["power", "-n", "5000"], ca150, "2^15000 entries"),
+                              (["split", "-k", "40", "-l", "1"], f3, "3^")):
+        code, out, err = run_cli(argv, text, monkeypatch, capsys)
+        assert code == 2 and out == "" and count in err and "Traceback" not in err
 
 
 def test_module_pipeline_from_checkout():

@@ -1,14 +1,15 @@
 import pytest
 
-from casim.affine_ca import canonical_additive, fit_affine
+from casim.affine_ca import AffineAlgebra, canonical_additive, fit_affine, to_table
 from casim.caps import Caps
 from casim.ca_core import (LocalAlgebra, are_isomorphic, eca, enumerate_congruences,
                            enumerate_subalgebras, product, quotient, restrict,
                            singleton)
+from casim.fp_linalg import FpMatrix
 from casim.simulation import (SearchBounds, classify_canonical, closure_members,
                               replay_derivation, replay_witness, simulates,
                               verify_affine_closure, verify_characterization)
-from conftest import random_local_algebra
+from conftest import coset_construction_oracle, random_local_algebra
 
 SMALL = SearchBounds(1, 1)
 
@@ -201,8 +202,6 @@ def test_affine_closure_small_bounds():
 
 
 def test_affine_closure_not_applicable_counterexample():
-    from casim.affine_ca import AffineAlgebra
-    from casim.fp_linalg import FpMatrix
     zero = AffineAlgebra(2, 2, 1, tuple(FpMatrix.zero(2, 2) for _ in range(3)), (0, 0))
     report = verify_affine_closure(zero, SearchBounds(1, 1, 4))
     assert not report.applicable and not report.passed
@@ -213,3 +212,59 @@ def test_inventory_cache_returns_identical_object():
     first = closure_members(eca(150), SMALL)
     second = closure_members(eca(150), SMALL)
     assert first is second
+
+
+def _random_affine(rng, p, d):
+    """Random radius-1 affine rule over F_p^d with at least two nonzero
+    components (constant and one-component rules make every subset a
+    subalgebra, which is slow and exercises no coset)."""
+    while True:
+        mats = tuple(FpMatrix.from_rows(p, [[rng.randrange(p) for _ in range(d)]
+                                            for _ in range(d)]) for _ in range(3))
+        if sum(any(any(row) for row in m.entries) for m in mats) >= 2:
+            return AffineAlgebra(p, d, 1, mats, tuple(rng.randrange(p) for _ in range(d)))
+
+
+def test_direct_fit_recovers_every_coset_construction(rng):
+    # a coset carrier and a coset partition list their states in the
+    # order of reduced coordinates, so replaying a derivation through the
+    # coset machinery yields exactly the member's fitted form
+    bounds = SearchBounds(1, 2, 16)
+    forms, proper = 0, 0
+    for p, d in [(2, 1), (3, 1), (2, 2)] * 10:
+        rule = _random_affine(rng, p, d)
+        generator = to_table(rule)
+        inventory = closure_members(generator, bounds)
+        report = verify_affine_closure(rule, bounds)
+        for member, item in zip(inventory.members, report.items):
+            if member.size == 1:
+                continue
+            form = coset_construction_oracle(member, generator, p)
+            if form is None:
+                continue
+            forms += 1
+            proper += len(member.derivation.partition) < len(member.derivation.carrier)
+            assert fit_affine(member.algebra, p) == form
+            constant = len(set(member.algebra.table)) == 1
+            assert item.method == ("constant table" if constant else "direct fit")
+    assert forms >= 80 and proper >= 20
+
+
+def test_affine_closure_methods_of_non_applicable_rule():
+    # outermost components [[1,0],[0,0]] are not bijective; six members
+    # of size 4 fit no affine table under any relabeling.  The list was
+    # recorded while the ladder still had a coset-construction rung.
+    mats = tuple(FpMatrix.from_rows(2, rows) for rows in
+                 ([[1, 0], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 0]]))
+    report = verify_affine_closure(AffineAlgebra(2, 2, 1, mats, (0, 1)), SearchBounds(1, 2, 16))
+    assert not report.applicable and not report.complete
+    fit, const, none = "direct fit", "constant table", "no relabeling yields an affine table"
+    sizes = {n: f"size {n} is not a power of 2" for n in (3, 5, 6, 7)}
+    assert [(item.size, item.method) for item in report.items] == [
+        (1, "singleton"), (2, const), (4, fit), (3, sizes[3]), (3, sizes[3]), (2, fit),
+        (3, sizes[3]), (4, const), (5, sizes[5]), (4, none), (4, none), (3, sizes[3]),
+        (5, sizes[5]), (4, none), (4, none), (3, sizes[3]), (6, sizes[6]), (5, sizes[5]),
+        (5, sizes[5]), (4, none), (6, sizes[6]), (5, sizes[5]), (5, sizes[5]), (4, fit),
+        (6, sizes[6]), (5, sizes[5]), (5, sizes[5]), (4, none), (7, sizes[7]), (6, sizes[6]),
+        (6, sizes[6]), (5, sizes[5]), (7, sizes[7]), (6, sizes[6]), (6, sizes[6]),
+        (5, sizes[5]), (8, fit), (7, sizes[7]), (7, sizes[7]), (6, sizes[6]), (5, sizes[5])]
