@@ -160,6 +160,8 @@ class CanonicalAdditive:
 
 
 def canonical_additive(p: int, coefficients: Sequence[int], r: int | None = None) -> CanonicalAdditive:
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
     coefficients = tuple(x % p for x in coefficients)
     if r is None:
         if len(coefficients) % 2 == 0:

@@ -25,7 +25,8 @@ from . import affine_ca, ca_core, simulation
 from .affine_ca import AffineAlgebra, CanonicalAdditive
 from .ca_core import LocalAlgebra, SpaceTimeDiagram
 from .caps import DEFAULT_CAPS, CapExceeded, Caps
-from .fp_linalg import FpMatrix, common_invariant_subspaces, is_simple, smallest_prime_factor
+from .fp_linalg import (FpMatrix, common_invariant_subspaces, is_prime, is_simple,
+                        smallest_prime_factor)
 
 
 class FormatError(Exception):
@@ -91,7 +92,11 @@ def parse_ca(text: str) -> LocalAlgebra:
     if header != "CA v1":
         raise FormatError(number, f"expected header 'CA v1', got {header!r}")
     m = reader.expect_int_field("states")
+    if m < 1:
+        raise FormatError(reader.pos, "state count must be at least 1")
     r = reader.expect_int_field("radius")
+    if r < 0:
+        raise FormatError(reader.pos, "radius must be nonnegative")
     number, line = reader.next_content()
     parts = line.split()
     if parts[0] == "table" and len(parts) == 2 and m <= 10:
@@ -118,10 +123,14 @@ def parse_affine(text: str) -> AffineAlgebra:
     if header != "AFFINE v1":
         raise FormatError(number, f"expected header 'AFFINE v1', got {header!r}")
     p = reader.expect_int_field("p")
+    if not is_prime(p):
+        raise FormatError(reader.pos, f"modulus {p} is not prime")
     d = reader.expect_int_field("dim")
     if d < 1:
         raise FormatError(reader.pos, "dim must be at least 1")
     r = reader.expect_int_field("radius")
+    if r < 0:
+        raise FormatError(reader.pos, "radius must be nonnegative")
     components = []
     for i in range(-r, r + 1):
         number, line = reader.next_content()

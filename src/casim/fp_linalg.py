@@ -73,6 +73,7 @@ class FpMatrix:
 
     @staticmethod
     def from_rows(p: int, rows: Sequence[Sequence[int]]) -> "FpMatrix":
+        _check_prime(p)
         entries = tuple(tuple(x % p for x in row) for row in rows)
         return FpMatrix(p, len(entries), len(entries[0]) if entries else 0, entries)
 
@@ -343,44 +344,35 @@ def join_closure(bottom: Member, generators: Iterable[Member],
     return members
 
 
-def _check_maps(maps: Sequence[FpMatrix], n: int, p: int | None = None) -> int:
+def _check_maps(maps: Sequence[FpMatrix], n: int) -> int:
+    if not maps:
+        raise ValueError("cannot infer modulus from an empty map list")
+    p = maps[0].p
     for m in maps:
         if m.rows != n or m.cols != n:
             raise ValueError(f"map dimensions {m.rows}x{m.cols} do not match ambient {n}")
-        if p is None:
-            p = m.p
-        elif m.p != p:
+        if m.p != p:
             raise ValueError("maps have mismatched moduli")
-    if p is None:
-        raise ValueError("cannot infer modulus from an empty map list")
     return p
 
 
-def invariant_closure(seed: Iterable[Sequence[int]], maps: Sequence[FpMatrix],
-                      *, p: int | None = None, ambient: int | None = None) -> Subspace:
-    """Smallest subspace containing `seed` and invariant under every map.
-
-    Fixpoint iteration: span the seed, push every basis vector through
-    every map, re-span, repeat until the dimension stops growing.
-    """
-    seed = [tuple(v) for v in seed]
-    if ambient is None:
-        if seed:
-            ambient = len(seed[0])
-        elif maps:
-            ambient = maps[0].rows
-        else:
-            raise ValueError("cannot infer ambient dimension")
-    p = _check_maps(maps, ambient, p) if maps else p
-    if p is None:
-        raise ValueError("cannot infer modulus; pass p explicitly")
-    space = Subspace.span(p, ambient, seed)
-    while True:
-        images = [m.apply(v) for m in maps for v in space.basis]
-        grown = Subspace.span(p, ambient, list(space.basis) + images)
-        if grown.dim == space.dim:
-            return space
-        space = grown
+def invariant_closure(seed: Iterable[Sequence[int]], maps: Sequence[FpMatrix]) -> Subspace:
+    """Smallest subspace containing `seed` and invariant under every map;
+    p and n come from the maps.  Spins (Parker's Meat-Axe): each spanning
+    vector meets each map once, an image new to the span joins it and
+    waits its own turn, and the spin stops once the space is full."""
+    n = maps[0].rows if maps else 0
+    p = _check_maps(maps, n)
+    space = Subspace.span(p, n, seed)
+    pending = list(space.basis)
+    while pending and not space.is_full():
+        vec = pending.pop()
+        for m in maps:
+            image = space.reduce(m.apply(vec))
+            if any(image):
+                space = Subspace.span(p, n, space.basis + (image,))
+                pending.append(image)
+    return space
 
 
 def common_invariant_subspaces(maps: Sequence[FpMatrix], n: int, *,
@@ -396,8 +388,7 @@ def common_invariant_subspaces(maps: Sequence[FpMatrix], n: int, *,
     reps = (p ** n - 1) // (p - 1)
     require(reps <= caps.onedim_cap,
             f"{reps} one-dimensional subspaces exceed cap {caps.onedim_cap}")
-    closures = (invariant_closure([v], maps, p=p, ambient=n)
-                for v in one_dim_representatives(p, n))
+    closures = (invariant_closure([v], maps) for v in one_dim_representatives(p, n))
     lattice = join_closure(Subspace.zero(p, n), closures, Subspace.join,
                            caps.lattice_cap, "invariant-subspace lattice")
     return sorted(lattice, key=Subspace.sort_key)
@@ -408,7 +399,7 @@ def is_simple(maps: Sequence[FpMatrix], n: int) -> bool:
     i.e. every nonzero vector generates the full space."""
     p = _check_maps(maps, n)
     for v in one_dim_representatives(p, n):
-        if not invariant_closure([v], maps, p=p, ambient=n).is_full():
+        if not invariant_closure([v], maps).is_full():
             return False
     return True
 

@@ -163,8 +163,8 @@ class _IsoMatcher:
             return tuple(range(a.m))
         if ca_core.algebra_fingerprint(a) != ca_core.algebra_fingerprint(b):
             return None
-        form_a, form_b = self._affine_form(a), self._affine_form(b)
-        if form_a is not None and form_b is not None:
+        form_a = self._affine_form(a)
+        if form_a is not None and (form_b := self._affine_form(b)) is not None:
             witness = affine_ca.affine_isomorphism(form_a, form_b, self.caps)
             if witness is not None:
                 return witness
@@ -546,12 +546,10 @@ class AffineClosureReport:
 
 def _certify_affine(member: ClosureMember, p: int, caps: Caps) -> tuple[bool, str]:
     """Decide whether a closure member is affine over F_p up to
-    relabeling, and name the rung that decided it: singleton, size not a
-    power of p, constant table, direct fit, then a relabeling search on
-    members of at most `relabel_cap` states."""
+    relabeling, and name the rung that decided it: size not a power of
+    p, constant table, direct fit, then a relabeling search on members
+    of at most `relabel_cap` states.  Singletons never reach it."""
     algebra = member.algebra
-    if algebra.m == 1:
-        return True, "singleton"
     if affine_ca._dimension_over(algebra.m, p) is None:
         return False, f"size {algebra.m} is not a power of {p}"
     first = algebra.table[0]

@@ -68,6 +68,19 @@ def all_subspaces(p, n):
     return sorted(lattice.values(), key=Subspace.sort_key)
 
 
+def invariant_closure_fixpoint_oracle(seed, maps, p, n):
+    """Smallest subspace of F_p^n containing `seed` and invariant under
+    every map, by fixpoint iteration: push every basis vector through
+    every map, re-span, repeat until the dimension stops growing."""
+    space = Subspace.span(p, n, seed)
+    while True:
+        images = [m.apply(v) for m in maps for v in space.basis]
+        grown = Subspace.span(p, n, list(space.basis) + images)
+        if grown.dim == space.dim:
+            return space
+        space = grown
+
+
 def coset_construction_oracle(member, generator, p, caps=DEFAULT_CAPS):
     """Replay a closure member's derivation through the affine machinery:
     the carrier must be a coset of an invariant subspace and the

@@ -48,6 +48,19 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(cli.FormatError) as err:
         cli.parse_affine("AFFINE v1\np 3\ndim 0\nradius 1\n")
     assert str(err.value).startswith("line 3:") and "dim must be at least 1" in str(err.value)
+    # each header field is checked on its own line, not where it is first used
+    for parse, text, line, message in (
+            (cli.parse_affine, "AFFINE v1\np 4\ndim 1\nradius 0\ncomponent 0\n1\n",
+             2, "modulus 4 is not prime"),
+            (cli.parse_affine, "AFFINE v1\np 3\ndim 1\nradius -1\nconstant\n0\n",
+             4, "radius must be nonnegative"),
+            (cli.parse_ca, "CA v1\nstates 0\nradius 0\ntable 0\n",
+             2, "state count must be at least 1"),
+            (cli.parse_ca, "CA v1\nstates 2\nradius -1\ntable 0\n",
+             3, "radius must be nonnegative")):
+        with pytest.raises(cli.FormatError) as err:
+            parse(text)
+        assert str(err.value) == f"line {line}: {message}"
     with pytest.raises(cli.FormatError):
         cli.parse_algebra("HELLO\n")
 
@@ -293,6 +306,13 @@ def test_exit_codes_for_bad_input(monkeypatch, capsys, tmp_path):
                               (["split", "-k", "40", "-l", "1"], f3, "3^")):
         code, out, err = run_cli(argv, text, monkeypatch, capsys)
         assert code == 2 and out == "" and count in err and "Traceback" not in err
+    # a zero modulus is refused before anything is reduced mod p
+    for argv, text in ((["canonical", "-p", "0", "-a", "1", "1", "1"], ""),
+                       (["show"], "AFFINE v1\np 0\ndim 1\nradius 0\ncomponent 0\n1\n"
+                                  "constant\n0\n")):
+        code, out, err = run_cli(argv, text, monkeypatch, capsys)
+        assert code == 2 and out == "" and "modulus 0 is not prime" in err
+        assert "Traceback" not in err
 
 
 def test_module_pipeline_from_checkout():

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from casim.affine_ca import component_matrices
 from casim.ca_core import LocalAlgebra, enumerate_congruences, enumerate_subalgebras
 from casim.caps import CapExceeded, Caps
 from casim.fp_linalg import (FpMatrix, Subspace, common_invariant_subspaces, invariant_closure,
                              is_invariant, is_prime, is_simple, nullspace_basis,
                              one_dim_representatives, rref, solve)
-from conftest import all_subspaces
+from conftest import all_canonical_rules, all_subspaces, invariant_closure_fixpoint_oracle
 
 
 def random_matrix(rng, p, rows, cols):
@@ -125,9 +126,40 @@ def test_invariant_closure_is_invariant(rng):
             n = rng.randrange(2, 5)
             maps = [random_matrix(rng, p, n, n) for _ in range(rng.randrange(1, 3))]
             seed = [tuple(rng.randrange(p) for _ in range(n))]
-            space = invariant_closure(seed, maps, p=p, ambient=n)
+            space = invariant_closure(seed, maps)
             assert is_invariant(space, maps)
             assert space.contains(seed[0])
+
+
+def test_invariant_closure_matches_fixpoint_oracle(rng):
+    for _ in range(400):
+        p, n = rng.choice((2, 3, 5)), rng.randrange(1, 6)
+        # mostly-zero entries leave room for proper invariant subspaces
+        maps = [FpMatrix.from_rows(p, [[rng.randrange(p) if rng.random() < 0.4 else 0
+                                        for _ in range(n)] for _ in range(n)])
+                for _ in range(rng.randrange(1, 4))]
+        seed = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(rng.randrange(4))]
+        if seed and rng.random() < 0.3:
+            seed += [seed[0], (0,) * n]
+        assert invariant_closure(seed, maps) == invariant_closure_fixpoint_oracle(seed, maps, p, n)
+    for rule in all_canonical_rules(3):
+        for n in range(1, 6):
+            maps = component_matrices(rule, n)
+            units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+            spare = tuple(rng.randrange(3) for _ in range(n))
+            for seed in [[e] for e in units] + [[spare], units[-1:] + units[:1], []]:
+                assert invariant_closure(seed, maps) == \
+                    invariant_closure_fixpoint_oracle(seed, maps, 3, n)
+
+
+def test_invariant_closure_rejects_bad_input():
+    J = FpMatrix.shift(3, 2)
+    with pytest.raises(ValueError, match="empty map list"):
+        invariant_closure([(1, 0)], [])
+    with pytest.raises(ValueError, match="length"):
+        invariant_closure([(1, 0, 0)], [J])
+    with pytest.raises(ValueError, match="mismatched moduli"):
+        invariant_closure([(1, 0)], [J, FpMatrix.shift(2, 2)])
 
 
 def test_common_invariant_subspaces_two_chains():
