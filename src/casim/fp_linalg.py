@@ -4,7 +4,9 @@ Matrices carry their modulus, entries are plain ints reduced to 0..p-1,
 and every value is immutable, so equality is structural and instances
 can be shared freely between threads.  Subspaces are kept in reduced
 row-echelon form, which makes them canonical: two subspaces are equal
-exactly when their fields compare equal.
+exactly when their fields compare equal.  Every echelon form here, from
+`rref` to the invariant spin, is grown by one step, `_insert`, which adds
+one vector at a time.
 """
 
 from __future__ import annotations
@@ -42,11 +44,34 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"modulus {p} is not prime")
 
 
-def inverse_mod(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError(f"0 has no inverse mod {p}")
-    return pow(a, p - 2, p)
+def _reduce(rows: Sequence[Vector], vec: Sequence[int], p: int) -> list[int]:
+    """`vec` mod p with every pivot entry eliminated against the reduced
+    echelon `rows`.  A pivot-normalized row's pivot is its first 1."""
+    residue = [x % p for x in vec]
+    for row in rows:
+        factor = residue[row.index(1)]
+        if factor:
+            residue = [(a - factor * b) % p for a, b in zip(residue, row)]
+    return residue
+
+
+def _insert(rows: list[Vector], vec: Sequence[int], p: int) -> bool:
+    """The one elimination step: add `vec` to the reduced echelon `rows`
+    in place.  A nonzero residue is scaled to pivot 1, cleared from that
+    column of the other rows and put in pivot order, and True returned;
+    a zero residue returns False and leaves `rows` as they were."""
+    residue = _reduce(rows, vec, p)
+    pivot = next((i for i, x in enumerate(residue) if x), None)
+    if pivot is None:
+        return False
+    inv = pow(residue[pivot], p - 2, p)  # Fermat: a^(p-2) = a^-1 mod p
+    new = tuple(x * inv % p for x in residue)
+    for k, row in enumerate(rows):
+        factor = row[pivot]
+        if factor:
+            rows[k] = tuple((a - factor * b) % p for a, b in zip(row, new))
+    rows.insert(sum(row.index(1) < pivot for row in rows), new)
+    return True
 
 
 @dataclass(frozen=True)
@@ -144,7 +169,7 @@ class FpMatrix:
         return all(x == 0 for row in self.entries for x in row)
 
     def rank(self) -> int:
-        return rref(self)[1]
+        return Subspace.span(self.p, self.cols, self.entries).dim
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -161,27 +186,11 @@ class FpMatrix:
 
 def rref(matrix: FpMatrix) -> tuple[FpMatrix, int]:
     """Reduced row-echelon form and rank.  Total and deterministic; the
-    row space of the input is preserved."""
-    p = matrix.p
-    rows = [list(row) for row in matrix.entries]
-    n_rows, n_cols = matrix.rows, matrix.cols
-    pivot_row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(pivot_row, n_rows) if rows[r][col] % p != 0), None)
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = inverse_mod(rows[pivot_row][col], p)
-        rows[pivot_row] = [(x * inv) % p for x in rows[pivot_row]]
-        for r in range(n_rows):
-            if r != pivot_row and rows[r][col] % p != 0:
-                factor = rows[r][col] % p
-                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == n_rows:
-            break
-    reduced = FpMatrix(p, n_rows, n_cols, tuple(tuple(row) for row in rows))
-    return reduced, pivot_row
+    row space of the input is preserved.  The nonzero rows are the basis
+    of the rows' span; zero rows pad it to the input's row count."""
+    basis = Subspace.span(matrix.p, matrix.cols, matrix.entries).basis
+    padding = ((0,) * matrix.cols,) * (matrix.rows - len(basis))
+    return FpMatrix(matrix.p, matrix.rows, matrix.cols, basis + padding), len(basis)
 
 
 @dataclass(frozen=True)
@@ -200,35 +209,36 @@ class Subspace:
         _check_prime(self.p)
         if self.ambient < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        last_pivot = -1
+        pivots: list[int] = []
         for row in self.basis:
             if len(row) != self.ambient:
                 raise ValueError("basis vector length does not match ambient dimension")
-            pivot = next((i for i, x in enumerate(row) if x % self.p != 0), None)
+            for x in row:
+                if not 0 <= x < self.p:
+                    raise ValueError(f"entry {x} out of range mod {self.p}")
+            pivot = next((i for i, x in enumerate(row) if x), None)
             if pivot is None:
                 raise ValueError("basis contains a zero vector")
-            if pivot <= last_pivot:
+            if pivots and pivot <= pivots[-1]:
                 raise ValueError("basis pivots must be strictly increasing")
             if row[pivot] != 1:
                 raise ValueError("basis rows must be pivot-normalized")
-            last_pivot = pivot
+            pivots.append(pivot)
         # each pivot must be the only nonzero entry in its column
-        pivots = [next(i for i, x in enumerate(row) if x) for row in self.basis]
-        for k, row in enumerate(self.basis):
-            for other_k, pivot in enumerate(pivots):
-                if other_k != k and row[pivot] != 0:
-                    raise ValueError("basis is not fully reduced")
+        for pivot in pivots:
+            if sum(row[pivot] != 0 for row in self.basis) != 1:
+                raise ValueError("basis is not fully reduced")
 
     @staticmethod
     def span(p: int, ambient: int, vectors: Iterable[Sequence[int]]) -> "Subspace":
-        vecs = [tuple(x % p for x in v) for v in vectors]
-        for v in vecs:
+        """The span of `vectors`, inserted one at a time by `_insert`."""
+        _check_prime(p)
+        rows: list[Vector] = []
+        for v in vectors:
             if len(v) != ambient:
                 raise ValueError("seed vector length does not match ambient dimension")
-        if not vecs:
-            return Subspace(p, ambient, ())
-        reduced, rank = rref(FpMatrix(p, len(vecs), ambient, tuple(vecs)))
-        return Subspace(p, ambient, reduced.entries[:rank])
+            _insert(rows, v, p)
+        return Subspace(p, ambient, tuple(rows))
 
     @staticmethod
     def zero(p: int, ambient: int) -> "Subspace":
@@ -243,7 +253,7 @@ class Subspace:
         return len(self.basis)
 
     def pivots(self) -> tuple[int, ...]:
-        return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
+        return tuple(row.index(1) for row in self.basis)
 
     def is_zero(self) -> bool:
         return not self.basis
@@ -259,22 +269,20 @@ class Subspace:
         entries eliminated against the RREF basis.  Two vectors reduce
         to the same representative exactly when their difference lies in
         the subspace, and the representative is zero at every pivot."""
-        p = self.p
-        residue = [x % p for x in vec]
-        for row, pivot in zip(self.basis, self.pivots()):
-            factor = residue[pivot]
-            if factor:
-                for i, b in enumerate(row):
-                    residue[i] = (residue[i] - factor * b) % p
-        return tuple(residue)
+        return tuple(_reduce(self.basis, vec, self.p))
 
     def contains(self, vec: Sequence[int]) -> bool:
         return not any(self.reduce(vec))
 
     def join(self, other: "Subspace") -> "Subspace":
+        """`other`'s basis inserted into a copy of this one; `self` itself
+        when `other` lies inside it."""
         if (self.p, self.ambient) != (other.p, other.ambient):
             raise ValueError("subspaces live in different ambient spaces")
-        return Subspace.span(self.p, self.ambient, self.basis + other.basis)
+        rows = list(self.basis)
+        for vec in other.basis:
+            _insert(rows, vec, self.p)
+        return self if len(rows) == self.dim else Subspace(self.p, self.ambient, tuple(rows))
 
     def coordinates(self, vec: Sequence[int]) -> Vector:
         """Coefficients of `vec` in the RREF basis.  With a reduced basis
@@ -358,21 +366,21 @@ def _check_maps(maps: Sequence[FpMatrix], n: int) -> int:
 
 def invariant_closure(seed: Iterable[Sequence[int]], maps: Sequence[FpMatrix]) -> Subspace:
     """Smallest subspace containing `seed` and invariant under every map;
-    p and n come from the maps.  Spins (Parker's Meat-Axe): each spanning
-    vector meets each map once, an image new to the span joins it and
-    waits its own turn, and the spin stops once the space is full."""
+    p and n come from the maps.  Spins (Parker's Meat-Axe) on a plain
+    echelon row list: each spanning vector meets each map once, an image
+    `_insert` adds waits its own turn, the spin stops once the rows fill
+    F_p^n, and the Subspace is built once, at the end."""
     n = maps[0].rows if maps else 0
     p = _check_maps(maps, n)
-    space = Subspace.span(p, n, seed)
-    pending = list(space.basis)
-    while pending and not space.is_full():
+    rows = list(Subspace.span(p, n, seed).basis)
+    pending = list(rows)
+    while pending and len(rows) < n:
         vec = pending.pop()
         for m in maps:
-            image = space.reduce(m.apply(vec))
-            if any(image):
-                space = Subspace.span(p, n, space.basis + (image,))
+            image = m.apply(vec)
+            if _insert(rows, image, p):
                 pending.append(image)
-    return space
+    return Subspace(p, n, tuple(rows))
 
 
 def common_invariant_subspaces(maps: Sequence[FpMatrix], n: int, *,
@@ -412,13 +420,10 @@ def solve(matrix: FpMatrix, rhs: Sequence[int]) -> Vector | None:
     """One solution of M x = rhs (free variables set to 0), or None."""
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match matrix rows")
-    p = matrix.p
-    augmented = FpMatrix(p, matrix.rows, matrix.cols + 1, tuple(
-        row + (b % p,) for row, b in zip(matrix.entries, rhs)))
-    reduced, rank = rref(augmented)
+    augmented = Subspace.span(matrix.p, matrix.cols + 1, (
+        row + (b,) for row, b in zip(matrix.entries, rhs)))
     solution = [0] * matrix.cols
-    for row in reduced.entries[:rank]:
-        pivot = next(i for i, x in enumerate(row) if x)
+    for row, pivot in zip(augmented.basis, augmented.pivots()):
         if pivot == matrix.cols:
             return None  # 0 = nonzero row: inconsistent
         solution[pivot] = row[matrix.cols]
@@ -428,16 +433,15 @@ def solve(matrix: FpMatrix, rhs: Sequence[int]) -> Vector | None:
 def nullspace_basis(matrix: FpMatrix) -> list[Vector]:
     """Basis of the right nullspace {x : M x = 0}."""
     p, n = matrix.p, matrix.cols
-    reduced, rank = rref(matrix)
-    pivots = [next(i for i, x in enumerate(row) if x) for row in reduced.entries[:rank]]
-    pivot_set = set(pivots)
+    span = Subspace.span(p, n, matrix.entries)
+    pivots = span.pivots()
     basis = []
     for free in range(n):
-        if free in pivot_set:
+        if free in pivots:
             continue
         vec = [0] * n
         vec[free] = 1
-        for row, pivot in zip(reduced.entries[:rank], pivots):
+        for row, pivot in zip(span.basis, pivots):
             vec[pivot] = (-row[free]) % p
         basis.append(tuple(vec))
     return basis

@@ -81,6 +81,32 @@ def invariant_closure_fixpoint_oracle(seed, maps, p, n):
         space = grown
 
 
+def rref_gauss_jordan_oracle(matrix):
+    """Reduced row-echelon form and rank by column-by-column Gauss-Jordan
+    elimination: find a pivot row, swap it up, normalize it and clear its
+    column from every other row."""
+    p = matrix.p
+    rows = [list(row) for row in matrix.entries]
+    n_rows, n_cols = matrix.rows, matrix.cols
+    pivot_row = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(pivot_row, n_rows) if rows[r][col] % p != 0), None)
+        if pivot is None:
+            continue
+        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
+        inv = pow(rows[pivot_row][col], p - 2, p)
+        rows[pivot_row] = [(x * inv) % p for x in rows[pivot_row]]
+        for r in range(n_rows):
+            if r != pivot_row and rows[r][col] % p != 0:
+                factor = rows[r][col] % p
+                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[pivot_row])]
+        pivot_row += 1
+        if pivot_row == n_rows:
+            break
+    reduced = FpMatrix(p, n_rows, n_cols, tuple(tuple(row) for row in rows))
+    return reduced, pivot_row
+
+
 def coset_construction_oracle(member, generator, p, caps=DEFAULT_CAPS):
     """Replay a closure member's derivation through the affine machinery:
     the carrier must be a coset of an invariant subspace and the

@@ -9,7 +9,8 @@ from casim.caps import CapExceeded, Caps
 from casim.fp_linalg import (FpMatrix, Subspace, common_invariant_subspaces, invariant_closure,
                              is_invariant, is_prime, is_simple, nullspace_basis,
                              one_dim_representatives, rref, solve)
-from conftest import all_canonical_rules, all_subspaces, invariant_closure_fixpoint_oracle
+from conftest import (all_canonical_rules, all_subspaces, invariant_closure_fixpoint_oracle,
+                      rref_gauss_jordan_oracle)
 
 
 def random_matrix(rng, p, rows, cols):
@@ -21,6 +22,9 @@ def test_prime_validation():
     assert not is_prime(1) and not is_prime(9)
     with pytest.raises(ValueError):
         FpMatrix.from_rows(4, [[1]])
+    for p in (0, 4, -3):
+        with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+            Subspace.span(p, 2, [(1, 0)])
 
 
 def test_rref_identity():
@@ -51,6 +55,60 @@ def test_rref_idempotent_and_row_space_preserved():
             original = Subspace.span(p, m.cols, m.entries)
             kept = Subspace.span(p, m.cols, reduced.entries[:rank])
             assert original == kept
+
+
+def random_rows_with_dependencies(rng, p, n_rows, cols):
+    """Random rows where some are zero, repeats or combinations of
+    earlier rows, so ranks below min(rows, cols) are common."""
+    rows = []
+    for k in range(n_rows):
+        kind = rng.randrange(4) if k else 0
+        if kind == 1:
+            rows.append([0] * cols)
+        elif kind == 2:
+            rows.append(list(rng.choice(rows)))
+        elif kind == 3:
+            a, b, c = rng.choice(rows), rng.choice(rows), rng.randrange(p)
+            rows.append([(x + c * y) % p for x, y in zip(a, b)])
+        else:
+            rows.append([rng.randrange(p) for _ in range(cols)])
+    return rows
+
+
+def test_insertion_matches_gauss_jordan_oracle():
+    rng = random.Random(12)
+    for p in (2, 3, 5, 7):
+        for _ in range(60):
+            n_rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+            rows = random_rows_with_dependencies(rng, p, n_rows, cols)
+            m = FpMatrix.from_rows(p, rows)
+            reduced, rank = rref_gauss_jordan_oracle(m)
+            assert rref(m) == (reduced, rank)
+            assert m.rank() == rank
+            space = Subspace.span(p, cols, rows)
+            assert space.basis == reduced.entries[:rank]
+
+            cut = rng.randrange(n_rows + 1)
+            head, tail = Subspace.span(p, cols, rows[:cut]), Subspace.span(p, cols, rows[cut:])
+            assert head.join(tail) == Subspace.span(p, cols, head.basis + tail.basis) == space
+            assert space.join(head) is space and space.join(tail) is space
+
+            if rng.randrange(2):
+                rhs = m.apply([rng.randrange(p) for _ in range(cols)])
+            else:
+                rhs = tuple(rng.randrange(p) for _ in range(n_rows))
+            augmented, _ = rref_gauss_jordan_oracle(
+                FpMatrix.from_rows(p, [row + [b] for row, b in zip(rows, rhs)]))
+            inconsistent = any(row.index(1) == cols for row in augmented.entries if any(row))
+            x = solve(m, rhs)
+            assert (x is None) == inconsistent
+            if x is not None:
+                assert m.apply(x) == rhs
+
+            kernel = nullspace_basis(m)
+            assert len(kernel) == cols - rank
+            assert Subspace.span(p, cols, kernel).dim == cols - rank
+            assert all(not any(m.apply(v)) for v in kernel)
 
 
 def test_subspace_canonical_form():
@@ -87,6 +145,10 @@ def test_subspace_rejects_non_rref_basis():
         Subspace(2, 2, ((0, 1), (1, 0)))  # pivots not increasing
     with pytest.raises(ValueError):
         Subspace(3, 2, ((2, 0),))  # pivot not normalized
+    # entries outside 0..p-1 would give one line two spellings
+    for p, row in ((2, (2, 1)), (3, (1, 5)), (3, (1, -1))):
+        with pytest.raises(ValueError, match="out of range"):
+            Subspace(p, 2, (row,))
 
 
 def test_subspace_join_and_coordinates():
@@ -94,6 +156,8 @@ def test_subspace_join_and_coordinates():
     e3 = Subspace.span(2, 3, [(0, 0, 1)])
     joined = e1.join(e3)
     assert joined.dim == 2
+    assert joined == Subspace.span(2, 3, [(1, 0, 0), (0, 0, 1)])
+    assert joined.join(e1) is joined and joined.join(Subspace.zero(2, 3)) is joined
     assert joined.coordinates((1, 0, 1)) == (1, 1)
     with pytest.raises(ValueError):
         joined.coordinates((0, 1, 0))
