@@ -9,17 +9,18 @@ parse and print.  Commands read the primary algebra from stdin (or
     casim eca 150 | casim power -n 3 | casim matrices
 
 Exit codes: 0 success or a passing check, 1 a mathematical No or FAIL,
-2 usage, parse or cap errors, 3 an Unknown verdict.  Output is
+2 usage, parse, cap or I/O errors, 3 an Unknown verdict.  Output is
 deterministic; checks end with a single RESULT line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import replace
-from typing import Sequence
+from dataclasses import asdict, replace
+from typing import Callable, Sequence
 
 from . import affine_ca, ca_core, simulation
 from .affine_ca import AffineAlgebra, CanonicalAdditive
@@ -246,16 +247,11 @@ class _Io:
         self.args = args
         self._out_parts: list[str] = []
 
-    def read_primary(self) -> str:
-        if getattr(self.args, "infile", None):
-            with open(self.args.infile, "r", encoding="ascii") as handle:
-                return handle.read()
-        return sys.stdin.read()
-
-    def primary_algebra(self) -> LocalAlgebra | AffineAlgebra:
-        return parse_algebra(self.read_primary())
-
-    def file_algebra(self, path: str) -> LocalAlgebra | AffineAlgebra:
+    def algebra(self, path: str | None = None) -> LocalAlgebra | AffineAlgebra:
+        """The algebra in the file at ``path``, by default the primary one
+        (--in, else stdin); "-" names stdin."""
+        if path is None:
+            path = self.args.infile or "-"
         if path == "-":
             return parse_algebra(sys.stdin.read())
         with open(path, "r", encoding="ascii") as handle:
@@ -266,23 +262,31 @@ class _Io:
 
     def finish(self) -> None:
         text = "".join(self._out_parts)
-        if getattr(self.args, "out", None):
+        if self.args.out:
             with open(self.args.out, "w", encoding="ascii") as handle:
                 handle.write(text)
         else:
             sys.stdout.write(text)
+            sys.stdout.flush()
 
 
-def _result_line(io: _Io, verdict: str) -> None:
-    io.emit(f"RESULT: {verdict}\n")
+def _verdict(io: _Io, ok: bool) -> int:
+    """End a check: the RESULT line, then its exit code."""
+    io.emit(f"RESULT: {'PASS' if ok else 'FAIL'}\n")
+    return 0 if ok else 1
 
 
-def _json_report(io: _Io, payload: dict) -> None:
+def _json_report(io: _Io, command: str, inputs: dict, bounds: simulation.SearchBounds,
+                 result: str, **rest) -> None:
+    """One JSON line: {command, inputs, bounds, result} and any further
+    keys, sorted."""
+    payload = {"command": command, "inputs": inputs, "bounds": asdict(bounds),
+               "result": result, **rest}
     io.emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _cmd_show(io: _Io) -> int:
-    algebra = io.primary_algebra()
+def _cmd_show(io: _Io, caps: Caps) -> int:
+    algebra = io.algebra()
     if isinstance(algebra, AffineAlgebra):
         io.emit(print_affine(algebra))
     else:
@@ -290,27 +294,27 @@ def _cmd_show(io: _Io) -> int:
     return 0
 
 
-def _cmd_eca(io: _Io) -> int:
+def _cmd_eca(io: _Io, caps: Caps) -> int:
     io.emit(print_ca(ca_core.eca(io.args.number)))
     return 0
 
 
-def _cmd_canonical(io: _Io) -> int:
+def _cmd_canonical(io: _Io, caps: Caps) -> int:
     rule = affine_ca.canonical_additive(io.args.p, io.args.coefficients)
     io.emit(print_affine(rule.as_affine()))
     return 0
 
 
 def _cmd_power(io: _Io, caps: Caps) -> int:
-    algebra = as_table(io.primary_algebra(), caps)
+    algebra = as_table(io.algebra(), caps)
     io.emit(print_ca(ca_core.iterative_power(algebra, io.args.n, caps)))
     return 0
 
 
 def _cmd_product(io: _Io, caps: Caps) -> int:
-    factors = [as_table(io.primary_algebra(), caps)]
+    factors = [as_table(io.algebra(), caps)]
     for path in io.args.factors:
-        factors.append(as_table(io.file_algebra(path), caps))
+        factors.append(as_table(io.algebra(path), caps))
     io.emit(print_ca(ca_core.product(factors, caps)))
     return 0
 
@@ -326,7 +330,7 @@ def _parse_init(spec: str, m: int) -> tuple[int, ...]:
 
 
 def _cmd_evolve(io: _Io, caps: Caps) -> int:
-    algebra = as_table(io.primary_algebra(), caps)
+    algebra = as_table(io.algebra(), caps)
     word = _parse_init(io.args.init, algebra.m)
     boundary = io.args.boundary
     if boundary.startswith("background:"):
@@ -349,14 +353,14 @@ def _cmd_evolve(io: _Io, caps: Caps) -> int:
 
 
 def _cmd_subalgebras(io: _Io, caps: Caps) -> int:
-    algebra = as_table(io.primary_algebra(), caps)
+    algebra = as_table(io.algebra(), caps)
     for carrier in ca_core.enumerate_subalgebras(algebra, caps):
         io.emit(",".join(str(s) for s in carrier) + "\n")
     return 0
 
 
 def _cmd_congruences(io: _Io, caps: Caps) -> int:
-    algebra = as_table(io.primary_algebra(), caps)
+    algebra = as_table(io.algebra(), caps)
     for congruence in ca_core.enumerate_congruences(algebra, caps):
         io.emit(str(congruence) + "\n")
     return 0
@@ -367,14 +371,17 @@ def _parse_partition(spec: str) -> list[list[int]]:
 
 
 def _cmd_quotient(io: _Io, caps: Caps) -> int:
-    primary = as_table(io.primary_algebra(), caps)
+    if io.args.check and io.args.of is None:
+        raise ValueError("quotient --check needs --of: it compares the stdin algebra "
+                         "with a quotient of the --of algebra")
+    primary = as_table(io.algebra(), caps)
     if io.args.of is None:
         if io.args.classes is None:
             raise ValueError("quotient needs --classes, or --of with --check")
         congruence = ca_core.Congruence.from_blocks(primary, _parse_partition(io.args.classes))
         io.emit(print_ca(ca_core.quotient(primary, congruence)))
         return 0
-    big = as_table(io.file_algebra(io.args.of), caps)
+    big = as_table(io.algebra(io.args.of), caps)
     if io.args.classes is not None:
         congruence = ca_core.Congruence.from_blocks(big, _parse_partition(io.args.classes))
         result = ca_core.quotient(big, congruence)
@@ -385,10 +392,7 @@ def _cmd_quotient(io: _Io, caps: Caps) -> int:
         if witness is not None:
             io.emit(f"quotient by {congruence} is isomorphic via "
                     + ",".join(str(x) for x in witness) + "\n")
-            _result_line(io, "PASS")
-            return 0
-        _result_line(io, "FAIL")
-        return 1
+        return _verdict(io, witness is not None)
     # search all congruences of --of for one whose quotient matches stdin
     for congruence in ca_core.enumerate_congruences(big, caps):
         result = ca_core.quotient(big, congruence)
@@ -398,38 +402,32 @@ def _cmd_quotient(io: _Io, caps: Caps) -> int:
         if witness is not None:
             io.emit(f"classes {congruence}\n")
             io.emit("iso " + ",".join(str(x) for x in witness) + "\n")
-            _result_line(io, "PASS")
-            return 0
-    _result_line(io, "FAIL")
-    return 1
+            return _verdict(io, True)
+    return _verdict(io, False)
 
 
 def _cmd_iso(io: _Io, caps: Caps) -> int:
-    left = as_table(io.primary_algebra(), caps)
-    right = as_table(io.file_algebra(io.args.other), caps)
+    left = as_table(io.algebra(), caps)
+    right = as_table(io.algebra(io.args.other), caps)
     matcher = simulation._IsoMatcher(caps.scaled_to(max(left.m, right.m)))
     witness = matcher.find(left, right)
-    if witness is None:
-        _result_line(io, "FAIL")
-        return 1
-    io.emit("iso " + ",".join(str(x) for x in witness) + "\n")
-    _result_line(io, "PASS")
-    return 0
+    if witness is not None:
+        io.emit("iso " + ",".join(str(x) for x in witness) + "\n")
+    return _verdict(io, witness is not None)
 
 
 def _cmd_fit_affine(io: _Io, caps: Caps) -> int:
-    algebra = as_table(io.primary_algebra(), caps)
+    algebra = as_table(io.algebra(), caps)
     affine = affine_ca.fit_affine(algebra, io.args.p)
     if affine is None:
         io.emit("not affine under the positional encoding\n")
-        _result_line(io, "FAIL")
-        return 1
+        return _verdict(io, False)
     io.emit(print_affine(affine))
     return 0
 
 
 def _cmd_e0(io: _Io, caps: Caps) -> int:
-    rule = as_canonical(io.primary_algebra())
+    rule = as_canonical(io.algebra())
     profile = affine_ca.e0_evolution(rule, io.args.n, caps)
     io.emit(f"positions {-profile.reach}..{profile.reach}\n")
     io.emit(" ".join(str(x) for x in profile.values) + "\n")
@@ -443,7 +441,7 @@ def _matrix_lines(mat: FpMatrix) -> list[str]:
 
 
 def _cmd_matrices(io: _Io, caps: Caps) -> int:
-    algebra = io.primary_algebra()
+    algebra = io.algebra()
     if io.args.n is not None:
         rule = as_canonical(algebra)
         matrices = affine_ca.component_matrices(rule, io.args.n, caps)
@@ -460,19 +458,18 @@ def _cmd_matrices(io: _Io, caps: Caps) -> int:
 
 
 def _cmd_structure(io: _Io, caps: Caps) -> int:
-    rule = as_canonical(io.primary_algebra())
+    rule = as_canonical(io.algebra())
     report = affine_ca.check_structure(rule, io.args.n, caps)
     for check in report.checks:
         status = "ok" if check.passed else "FAIL"
         io.emit(f"{status} {check.name}\n")
         if not check.passed:
             io.emit(f"  expected {check.expected}\n  actual   {check.actual}\n")
-    _result_line(io, "PASS" if report.passed else "FAIL")
-    return 0 if report.passed else 1
+    return _verdict(io, report.passed)
 
 
 def _cmd_invariant_subspaces(io: _Io, caps: Caps) -> int:
-    rule = as_canonical(io.primary_algebra())
+    rule = as_canonical(io.algebra())
     matrices = affine_ca.component_matrices(rule, io.args.n, caps)
     for space in common_invariant_subspaces(matrices, io.args.n, caps=caps):
         io.emit(f"dim {space.dim}: {space}\n")
@@ -480,24 +477,22 @@ def _cmd_invariant_subspaces(io: _Io, caps: Caps) -> int:
 
 
 def _cmd_simple(io: _Io, caps: Caps) -> int:
-    rule = as_canonical(io.primary_algebra())
+    rule = as_canonical(io.algebra())
     matrices = affine_ca.component_matrices(rule, io.args.n, caps)
     simple = is_simple(matrices, io.args.n)
-    _result_line(io, "PASS" if simple else "FAIL")
-    return 0 if simple else 1
+    return _verdict(io, simple)
 
 
 def _cmd_split(io: _Io, caps: Caps) -> int:
-    rule = as_canonical(io.primary_algebra())
+    rule = as_canonical(io.algebra())
     result = affine_ca.verify_splitting(rule, io.args.k, io.args.l, caps)
     io.emit(f"power B^[{rule.p ** io.args.k * io.args.l}] vs {rule.p ** io.args.k} copies "
             f"of B^[{io.args.l}]: {result.detail}\n")
-    _result_line(io, "PASS" if result.ok else "FAIL")
-    return 0 if result.ok else 1
+    return _verdict(io, result.ok)
 
 
-def _cmd_classify(io: _Io) -> int:
-    affine = as_affine(io.primary_algebra())
+def _cmd_classify(io: _Io, caps: Caps) -> int:
+    affine = as_affine(io.algebra())
     record = affine_ca.classify_affine(affine)
     io.emit(f"p {record.p}\ndim {record.d}\nradius {record.r}\n")
     io.emit("component-bijective " + " ".join(
@@ -519,73 +514,57 @@ def _bounds_from_args(args: argparse.Namespace) -> simulation.SearchBounds:
     return simulation.SearchBounds(args.n_max, args.k_max, args.size_cap)
 
 
-def _bounds_json(bounds: simulation.SearchBounds) -> dict:
-    return {"n_max": bounds.n_max, "k_max": bounds.k_max, "size_cap": bounds.size_cap}
-
-
 def _cmd_simulates(io: _Io, caps: Caps) -> int:
-    simulator = as_table(io.primary_algebra(), caps)
-    target = as_table(io.file_algebra(io.args.target), caps)
+    simulator = as_table(io.algebra(), caps)
+    target = as_table(io.algebra(io.args.target), caps)
     bounds = _bounds_from_args(io.args)
     verdict = simulation.simulates(target, simulator, bounds, caps)
     if io.args.json:
-        payload = {
-            "command": "simulates",
-            "inputs": {"target_states": target.m, "simulator_states": simulator.m},
-            "bounds": _bounds_json(bounds),
-            "result": verdict.outcome,
-        }
+        rest = {}
         if verdict.witness is not None:
-            payload["witness"] = {
+            rest["witness"] = {
                 "powers": list(verdict.witness.derivation.powers),
                 "carrier": list(verdict.witness.derivation.carrier),
                 "classes": [list(b) for b in verdict.witness.derivation.partition],
                 "iso": list(verdict.witness.isomorphism),
             }
         if verdict.reason is not None:
-            payload["reason"] = verdict.reason
-        _json_report(io, payload)
+            rest["reason"] = verdict.reason
+        _json_report(io, "simulates",
+                     {"target_states": target.m, "simulator_states": simulator.m},
+                     bounds, verdict.outcome, **rest)
     else:
         if verdict.witness is not None:
             io.emit("witness " + verdict.witness.describe() + "\n")
         if verdict.reason is not None:
             io.emit("reason " + verdict.reason + "\n")
-    if verdict.outcome == "yes":
-        _result_line(io, "PASS")
-        return 0
-    if verdict.outcome == "no":
-        _result_line(io, "FAIL")
-        return 1
-    _result_line(io, "UNKNOWN")
-    return 3
+    if verdict.outcome == "unknown":
+        io.emit("RESULT: UNKNOWN\n")
+        return 3
+    return _verdict(io, verdict.outcome == "yes")
 
 
 def _cmd_verify(io: _Io, caps: Caps) -> int:
     bounds = _bounds_from_args(io.args)
-    algebra = io.primary_algebra()
+    algebra = io.algebra()
     if io.args.what == "characterization":
         rule = as_canonical(algebra)
         report = simulation.verify_characterization(rule, bounds, caps)
-        items = [{
-            "derivation": item.derivation.describe(),
-            "size": item.size,
-            "ok": item.ok,
-            "note": item.note,
-        } for item in report.items]
         if io.args.json:
-            _json_report(io, {
-                "command": "verify characterization",
-                "inputs": {"p": rule.p, "coefficients": list(rule.coefficients)},
-                "bounds": _bounds_json(bounds),
-                "result": "pass" if report.passed else "fail",
-                "items": items,
-            })
+            _json_report(io, "verify characterization",
+                         {"p": rule.p, "coefficients": list(rule.coefficients)},
+                         bounds, "pass" if report.passed else "fail",
+                         items=[{
+                             "derivation": item.derivation.describe(),
+                             "size": item.size,
+                             "ok": item.ok,
+                             "note": item.note,
+                         } for item in report.items])
         else:
             for item in report.items:
                 status = "ok" if item.ok else "FAIL"
                 io.emit(f"{status} size {item.size}: {item.note} [{item.derivation.describe()}]\n")
-        _result_line(io, "PASS" if report.passed else "FAIL")
-        return 0 if report.passed else 1
+        return _verdict(io, report.passed)
     # affine-closure
     affine = as_affine(algebra)
     report = simulation.verify_affine_closure(affine, bounds, caps)
@@ -593,33 +572,33 @@ def _cmd_verify(io: _Io, caps: Caps) -> int:
         io.emit("NOT APPLICABLE: the rule lacks bijective outermost components "
                 "(left witness strictly left of right witness)\n")
     if io.args.json:
-        _json_report(io, {
-            "command": "verify affine-closure",
-            "inputs": {"p": affine.p, "dim": affine.d, "radius": affine.r},
-            "bounds": _bounds_json(bounds),
-            "result": "pass" if report.passed else "fail",
-            "items": [{
-                "derivation": item.derivation.describe(),
-                "size": item.size,
-                "affine": item.affine,
-                "witnesses": list(item.witnesses),
-                "ok": item.ok,
-                "note": item.note,
-            } for item in report.items],
-        })
+        _json_report(io, "verify affine-closure",
+                     {"p": affine.p, "dim": affine.d, "radius": affine.r},
+                     bounds, "pass" if report.passed else "fail",
+                     items=[{
+                         "derivation": item.derivation.describe(),
+                         "size": item.size,
+                         "affine": item.affine,
+                         "witnesses": list(item.witnesses),
+                         "ok": item.ok,
+                         "note": item.note,
+                     } for item in report.items])
     else:
         for item in report.items:
             status = "ok" if item.ok else "FAIL"
             io.emit(f"{status} size {item.size}: {item.note}, witnesses {item.witnesses} "
                     f"[{item.derivation.describe()}]\n")
-    _result_line(io, "PASS" if report.passed else "FAIL")
-    return 0 if report.passed else 1
+    return _verdict(io, report.passed)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every call, built on the first: a parse leaves no
+    state behind in it.  Each subcommand is declared with its handler,
+    which ``main`` finds as ``args.run``."""
     parser = argparse.ArgumentParser(
         prog="casim",
         description="cellular automaton local algebras over prime fields: "
@@ -635,96 +614,71 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--in", dest="infile", default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--cap", type=int, default=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda
-                                **kw: argparse.ArgumentParser(parents=[common], **kw))
+    nth_power = argparse.ArgumentParser(add_help=False)
+    nth_power.add_argument("-n", type=int, required=True)
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--n-max", type=int, default=2)
+    bounds.add_argument("--k-max", type=int, default=2)
+    bounds.add_argument("--size-cap", type=int, default=None)
+    bounds.add_argument("--json", action="store_true")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("show", help="parse and reprint in canonical form")
-    cmd = sub.add_parser("eca", help="construct an elementary CA by Wolfram number")
+    def command(name: str, handler: Callable[[_Io, Caps], int], help: str,
+                parents: Sequence[argparse.ArgumentParser] = ()) -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, help=help, parents=[common, *parents])
+        cmd.set_defaults(run=handler)
+        return cmd
+
+    command("show", _cmd_show, "parse and reprint in canonical form")
+    cmd = command("eca", _cmd_eca, "construct an elementary CA by Wolfram number")
     cmd.add_argument("number", type=int)
-    cmd = sub.add_parser("canonical", help="construct a canonical additive rule")
+    cmd = command("canonical", _cmd_canonical, "construct a canonical additive rule")
     cmd.add_argument("-p", type=int, required=True)
     cmd.add_argument("-a", dest="coefficients", type=int, nargs="+", required=True,
                      help="coefficients a_-r .. a_r")
-    cmd = sub.add_parser("power", help="iterative power (grouping)")
-    cmd.add_argument("-n", type=int, required=True)
-    cmd = sub.add_parser("product", help="componentwise product with further factors")
+    command("power", _cmd_power, "iterative power (grouping)", [nth_power])
+    cmd = command("product", _cmd_product, "componentwise product with further factors")
     cmd.add_argument("factors", nargs="+", help="files with further factors")
-    cmd = sub.add_parser("evolve", help="run the global rule and render the diagram")
+    cmd = command("evolve", _cmd_evolve, "run the global rule and render the diagram")
     cmd.add_argument("--init", required=True, help="'single:<s>', a digit word, or comma list")
     cmd.add_argument("--steps", type=int, required=True)
     cmd.add_argument("--boundary", default="background:0",
                      help="background:<state> or cyclic:<length>")
     cmd.add_argument("--render", choices=["text", "pgm"], default="text")
     cmd.add_argument("--dots", action="store_true", help="render state 0 as '.'")
-    sub.add_parser("subalgebras", help="list all closed carriers")
-    sub.add_parser("congruences", help="list all rule-compatible partitions")
-    cmd = sub.add_parser("quotient", help="quotient by a partition, or search for one")
+    command("subalgebras", _cmd_subalgebras, "list all closed carriers")
+    command("congruences", _cmd_congruences, "list all rule-compatible partitions")
+    cmd = command("quotient", _cmd_quotient, "quotient by a partition, or search for one")
     cmd.add_argument("--classes", help="partition, e.g. '0,2|1,3'")
     cmd.add_argument("--of", help="file with the algebra to quotient (stdin is the target)")
     cmd.add_argument("--check", action="store_true",
                      help="check the quotient against the stdin algebra")
-    cmd = sub.add_parser("iso", help="isomorphism between stdin and a file")
+    cmd = command("iso", _cmd_iso, "isomorphism between stdin and a file")
     cmd.add_argument("other")
-    cmd = sub.add_parser("fit-affine", help="recover an affine form")
+    cmd = command("fit-affine", _cmd_fit_affine, "recover an affine form")
     cmd.add_argument("-p", type=int, required=True)
-    cmd = sub.add_parser("e0", help="one-cell seed evolution of a canonical additive rule")
-    cmd.add_argument("-n", type=int, required=True)
-    cmd = sub.add_parser("matrices", help="component matrices (of the n-th power)")
+    command("e0", _cmd_e0, "one-cell seed evolution of a canonical additive rule", [nth_power])
+    cmd = command("matrices", _cmd_matrices, "component matrices (of the n-th power)")
     cmd.add_argument("-n", type=int, default=None)
-    cmd = sub.add_parser("structure", help="banded-triangular structure checks")
-    cmd.add_argument("-n", type=int, required=True)
-    cmd = sub.add_parser("invariant-subspaces",
-                         help="lattice of common invariant subspaces of the n-th power")
-    cmd.add_argument("-n", type=int, required=True)
-    cmd = sub.add_parser("simple", help="is the n-th power simple?")
-    cmd.add_argument("-n", type=int, required=True)
-    cmd = sub.add_parser("split", help="check the power-splitting isomorphism")
+    command("structure", _cmd_structure, "banded-triangular structure checks", [nth_power])
+    command("invariant-subspaces", _cmd_invariant_subspaces,
+            "lattice of common invariant subspaces of the n-th power", [nth_power])
+    command("simple", _cmd_simple, "is the n-th power simple?", [nth_power])
+    cmd = command("split", _cmd_split, "check the power-splitting isomorphism")
     cmd.add_argument("-k", type=int, required=True)
     cmd.add_argument("-l", type=int, required=True)
-    sub.add_parser("classify", help="affine classification record")
-    cmd = sub.add_parser("simulates", help="does the stdin algebra simulate the target?")
+    command("classify", _cmd_classify, "affine classification record")
+    cmd = command("simulates", _cmd_simulates, "does the stdin algebra simulate the target?",
+                  [bounds])
     cmd.add_argument("target", help="file with the algebra to be simulated")
-    cmd.add_argument("--n-max", type=int, default=2)
-    cmd.add_argument("--k-max", type=int, default=2)
-    cmd.add_argument("--size-cap", type=int, default=None)
-    cmd.add_argument("--json", action="store_true")
-    cmd = sub.add_parser("verify", help="theorem verification reports")
+    cmd = command("verify", _cmd_verify, "theorem verification reports", [bounds])
     cmd.add_argument("what", choices=["characterization", "affine-closure"])
-    cmd.add_argument("--n-max", type=int, default=2)
-    cmd.add_argument("--k-max", type=int, default=2)
-    cmd.add_argument("--size-cap", type=int, default=None)
-    cmd.add_argument("--json", action="store_true")
     return parser
 
 
-_COMMANDS = {
-    "show": lambda io, caps: _cmd_show(io),
-    "eca": lambda io, caps: _cmd_eca(io),
-    "canonical": lambda io, caps: _cmd_canonical(io),
-    "power": _cmd_power,
-    "product": _cmd_product,
-    "evolve": _cmd_evolve,
-    "subalgebras": _cmd_subalgebras,
-    "congruences": _cmd_congruences,
-    "quotient": _cmd_quotient,
-    "iso": _cmd_iso,
-    "fit-affine": _cmd_fit_affine,
-    "e0": _cmd_e0,
-    "matrices": _cmd_matrices,
-    "structure": _cmd_structure,
-    "invariant-subspaces": _cmd_invariant_subspaces,
-    "simple": _cmd_simple,
-    "split": _cmd_split,
-    "classify": lambda io, caps: _cmd_classify(io),
-    "simulates": _cmd_simulates,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     caps = DEFAULT_CAPS
@@ -732,17 +686,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         caps = replace(caps, table_cap=args.cap)
     io = _Io(args)
     try:
-        code = _COMMANDS[args.command](io, caps)
-    except FormatError as exc:
-        print(f"casim: {exc}", file=sys.stderr)
-        return 2
+        code = args.run(io, caps)
+        io.finish()
     except CapExceeded as exc:
         print(f"casim: {exc} (raise --cap or the search bounds)", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (FormatError, ValueError, OSError) as exc:
         print(f"casim: {exc}", file=sys.stderr)
         return 2
-    io.finish()
     return code
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -166,6 +167,11 @@ def test_cmd_quotient_check(monkeypatch, capsys, tmp_path, z4_text):
                              ca90, monkeypatch, capsys)
     assert code == 2 and out == "" and "Traceback" not in err
     assert "not compatible: states 0,1 at position -1 " in err
+    # --check without --of has nothing to compare with, and is refused
+    # before the (here empty) input is read
+    code, out, err = run_cli(["quotient", "--classes", "0,2|1,3", "--check"], "",
+                             monkeypatch, capsys)
+    assert code == 2 and out == "" and "--of" in err and "Traceback" not in err
 
 
 def test_cmd_iso_failure(monkeypatch, capsys, tmp_path):
@@ -340,3 +346,275 @@ def test_cmd_product(monkeypatch, capsys, tmp_path):
     assert code == 0
     parsed = cli.parse_ca(out)
     assert parsed.table == iterative_power(eca(150), 2).table
+
+
+# ---------------------------------------------------------------------------
+# the front end, pinned byte for byte: every subcommand, --in/--out/--cap on
+# either side of the subcommand, stdin factors, help and usage errors
+
+def _front_end_files(tmp_path):
+    z4 = LocalAlgebra(4, 1, tuple((x + z) % 4 for x in range(4) for _ in range(4)
+                                  for z in range(4)))
+    texts = {f"e{n}": cli.print_ca(eca(n)) for n in (30, 60, 90, 150, 204)}
+    texts["z4"] = cli.print_ca(z4)
+    texts["f3"] = cli.print_affine(canonical_additive(3, [2, 1, 1]).as_affine())
+    texts["f3b"] = cli.print_affine(canonical_additive(3, [2, 0, 1]).as_affine())
+    for name, text in texts.items():
+        (tmp_path / f"{name}.txt").write_text(text, encoding="ascii")
+    return texts
+
+
+# name -> (argv, stdin); "{e30}" names an input file, "{out}" the output
+# file, and a stdin that names no input file is passed as it stands
+FRONT_END_CASES = {
+    "show": (["show"], "e30"),
+    "show-affine": (["show"], "f3"),
+    "show-in-before": (["--in", "{e30}", "show"], ""),
+    "show-in-after": (["show", "--in", "{f3}"], ""),
+    "show-parse-error": (["show"], "garbage\n"),
+    "show-missing-in": (["--in", "{tmp}/missing.txt", "show"], ""),
+    "eca": (["eca", "30"], ""),
+    "eca-out-before": (["--out", "{out}", "eca", "30"], ""),
+    "eca-out-after": (["eca", "30", "--out", "{out}"], ""),
+    "eca-bad-int": (["eca", "x"], ""),
+    "canonical": (["canonical", "-p", "3", "-a", "2", "1", "1"], ""),
+    "power": (["power", "-n", "2"], "e30"),
+    "power-affine": (["power", "-n", "2"], "f3"),
+    "power-in-out-after": (["power", "-n", "2", "--in", "{e30}", "--out", "{out}"], ""),
+    "power-in-before-out-after": (["--in", "{e90}", "power", "-n", "3", "--out", "{out}"], ""),
+    "power-cap-before": (["--cap", "10", "power", "-n", "3"], "e30"),
+    "power-cap-after": (["power", "-n", "3", "--cap", "10"], "e30"),
+    "power-cap-both": (["--cap", "10", "power", "-n", "3", "--cap", "1000"], "e30"),
+    "power-missing-n": (["power"], "e30"),
+    "product": (["product", "{e90}"], "e150"),
+    "product-two": (["product", "{e90}", "{e150}"], "e30"),
+    "product-stdin-factor": (["--in", "{e150}", "product", "-"], "e90"),
+    "evolve": (["evolve", "--init", "single:1", "--steps", "4"], "f3"),
+    "evolve-cyclic-dots": (["evolve", "--init", "1,0,1,1,0", "--steps", "3",
+                            "--boundary", "cyclic:7", "--dots"], "e30"),
+    "evolve-pgm": (["evolve", "--init", "101", "--steps", "2", "--render", "pgm"], "e90"),
+    "evolve-bad-boundary": (["evolve", "--init", "1", "--steps", "2", "--boundary", "wrap"],
+                            "e90"),
+    "evolve-bad-render": (["evolve", "--init", "1", "--steps", "2", "--render", "svg"], "e90"),
+    "subalgebras": (["subalgebras"], "z4"),
+    "congruences": (["congruences"], "z4"),
+    "quotient-classes": (["quotient", "--classes", "0,2|1,3"], "z4"),
+    "quotient-of-classes": (["quotient", "--classes", "0,2|1,3", "--of", "{z4}"], "e90"),
+    "quotient-of-classes-check": (["quotient", "--classes", "0,2|1,3", "--of", "{z4}",
+                                   "--check"], "e90"),
+    "quotient-of-classes-check-fail": (["quotient", "--classes", "0,2|1,3", "--of", "{z4}",
+                                        "--check"], "e150"),
+    "quotient-search": (["quotient", "--of", "{z4}", "--check"], "e90"),
+    "quotient-search-fail": (["quotient", "--of", "{z4}", "--check"], "e150"),
+    "quotient-no-args": (["quotient"], "e90"),
+    "iso": (["iso", "{e90}"], "e90"),
+    "iso-fail": (["iso", "{e150}"], "e90"),
+    "iso-stdin-other": (["--in", "{e90}", "iso", "-"], "e90"),
+    "fit-affine": (["fit-affine", "-p", "2"], "e150"),
+    "fit-affine-fail": (["fit-affine", "-p", "2"], "e30"),
+    "e0": (["e0", "-n", "4"], "f3"),
+    "e0-not-canonical": (["e0", "-n", "4"], "e30"),
+    "matrices": (["matrices"], "e150"),
+    "matrices-n": (["matrices", "-n", "3"], "f3"),
+    "structure": (["structure", "-n", "4"], "f3"),
+    "invariant-subspaces": (["invariant-subspaces", "-n", "2"], "f3b"),
+    "simple": (["simple", "-n", "4"], "f3"),
+    "simple-fail": (["simple", "-n", "3"], "f3"),
+    "split": (["split", "-k", "1", "-l", "1"], "e150"),
+    "classify": (["classify"], "e60"),
+    "classify-affine": (["classify"], "f3"),
+    "simulates-json": (["simulates", "{e90}", "--json"], "e150"),
+    "simulates-yes": (["simulates", "{e150}"], "e150"),
+    "simulates-unknown": (["simulates", "{e150}", "--n-max", "1", "--k-max", "1"], "e90"),
+    "simulates-stdin-target-json": (["--in", "{e150}", "simulates", "-", "--json"], "e150"),
+    "verify-characterization": (["verify", "characterization", "--n-max", "2",
+                                 "--k-max", "1"], "f3b"),
+    "verify-characterization-json": (["verify", "characterization", "--n-max", "2",
+                                      "--k-max", "1", "--json"], "f3b"),
+    "verify-affine-closure": (["verify", "affine-closure", "--n-max", "1", "--k-max", "1"],
+                              "e60"),
+    "verify-affine-closure-json": (["verify", "affine-closure", "--n-max", "1",
+                                    "--k-max", "1", "--json"], "e60"),
+    "verify-not-applicable": (["verify", "affine-closure", "--n-max", "1", "--k-max", "1"],
+                              "e204"),
+    "verify-empty-bounds": (["verify", "characterization", "--n-max", "0"], "f3"),
+    "help": (["--help"], ""),
+    "help-power": (["power", "--help"], ""),
+    "help-simulates": (["simulates", "-h"], ""),
+    "help-verify": (["verify", "--help"], ""),
+    "no-command": ([], ""),
+    "unknown-command": (["bogus"], ""),
+}
+
+# argparse words help and usage errors differently across Python minor
+# versions; these cases pin their text only on the version it was recorded on
+_ARGPARSE_TEXT = {"eca-bad-int", "power-missing-n", "evolve-bad-render", "help", "help-power",
+                  "help-simulates", "help-verify", "no-command", "unknown-command"}
+_RECORDED_ON = (3, 11)
+
+
+def _pin(text, tmp_path):
+    """A one-line text as it stands, a longer one by a sha256 prefix."""
+    text = text.replace(str(tmp_path), "{tmp}")
+    if "\n" in text.rstrip("\n") or len(text) > 100:
+        return "sha256:" + hashlib.sha256(text.encode()).hexdigest()[:16]
+    return text
+
+
+def observe_front_end(name, tmp_path, monkeypatch, capsys):
+    """(exit code, stdout, stderr, --out file) of one case, each pinned."""
+    texts = _front_end_files(tmp_path)
+    argv, stdin = FRONT_END_CASES[name]
+    out = tmp_path / "out.txt"
+    names = {key: str(tmp_path / f"{key}.txt") for key in texts}
+    argv = [arg.format(out=out, tmp=tmp_path, **names) for arg in argv]
+    monkeypatch.setenv("COLUMNS", "80")
+    code, stdout, stderr = run_cli(argv, texts.get(stdin, stdin), monkeypatch, capsys)
+    written = _pin(out.read_text(encoding="ascii"), tmp_path) if out.exists() else None
+    return code, _pin(stdout, tmp_path), _pin(stderr, tmp_path), written
+
+
+# recorded before the command table was folded into the parser
+FRONT_END_EXPECTED = {
+    'canonical': (0, 'sha256:6995eab7d9e5574c', '', None),
+    'classify': (0, 'sha256:971b8fbdfe0b302f', '', None),
+    'classify-affine': (0, 'sha256:e5884b7a16b27ccb', '', None),
+    'congruences': (0, 'sha256:3e4fb113ac623652', '', None),
+    'e0': (0, 'sha256:af6c86d92414686e', '', None),
+    'e0-not-canonical': (2, '', 'casim: the input table is not canonical additive\n', None),
+    'eca': (0, 'sha256:a19ebb76bc122f55', '', None),
+    'eca-bad-int': (2, '', 'sha256:5ee0f17b23dd3477', None),
+    'eca-out-after': (0, '', '', 'sha256:a19ebb76bc122f55'),
+    'eca-out-before': (0, '', '', 'sha256:a19ebb76bc122f55'),
+    'evolve': (0, 'sha256:a894cc6769cbee2e', '', None),
+    'evolve-bad-boundary': (
+        2, '',
+        'casim: boundary must be background:<state> or cyclic:<length>\n',
+        None),
+    'evolve-bad-render': (2, '', 'sha256:ced3febf0307da64', None),
+    'evolve-cyclic-dots': (0, 'sha256:f730c7a3fd585740', '', None),
+    'evolve-pgm': (0, 'sha256:f2583438d58ea3da', '', None),
+    'fit-affine': (0, 'sha256:3cba5512e804c529', '', None),
+    'fit-affine-fail': (1, 'sha256:bf6c75926933d387', '', None),
+    'help': (0, 'sha256:430660b7c7e86ca2', '', None),
+    'help-power': (0, 'sha256:901f57293069b8a9', '', None),
+    'help-simulates': (0, 'sha256:a42a89663b617d2b', '', None),
+    'help-verify': (0, 'sha256:57643d1007ea7df7', '', None),
+    'invariant-subspaces': (0, 'sha256:d1b50cf7d8621337', '', None),
+    'iso': (0, 'sha256:0b4176f0d36170aa', '', None),
+    'iso-fail': (1, 'RESULT: FAIL\n', '', None),
+    'iso-stdin-other': (0, 'sha256:0b4176f0d36170aa', '', None),
+    'matrices': (0, 'sha256:4a8b98ee1fa24297', '', None),
+    'matrices-n': (0, 'sha256:8f0e6994da25471b', '', None),
+    'no-command': (2, '', 'sha256:a3f76efb89fd2ee8', None),
+    'power': (0, 'sha256:c7c55b65b3a45b1a', '', None),
+    'power-affine': (0, 'sha256:4b7bff2ff02941f9', '', None),
+    'power-cap-after': (
+        2, '',
+        'casim: iterative power table needs 2^9 entries, cap 10 (raise --cap or the search bounds)\n',
+        None),
+    'power-cap-before': (
+        2, '',
+        'casim: iterative power table needs 2^9 entries, cap 10 (raise --cap or the search bounds)\n',
+        None),
+    'power-cap-both': (0, 'sha256:434a750b5e94edf3', '', None),
+    'power-in-before-out-after': (0, '', '', 'sha256:5641776151483520'),
+    'power-in-out-after': (0, '', '', 'sha256:c7c55b65b3a45b1a'),
+    'power-missing-n': (2, '', 'sha256:2d9e121dc47ba516', None),
+    'product': (0, 'sha256:8a70bc5f6e048525', '', None),
+    'product-stdin-factor': (0, 'sha256:8a70bc5f6e048525', '', None),
+    'product-two': (0, 'sha256:bea83b2ec4d8e033', '', None),
+    'quotient-classes': (0, 'sha256:821f92566b7eeeab', '', None),
+    'quotient-no-args': (2, '', 'casim: quotient needs --classes, or --of with --check\n', None),
+    'quotient-of-classes': (0, 'sha256:821f92566b7eeeab', '', None),
+    'quotient-of-classes-check': (0, 'sha256:aefbc84c143f4cfe', '', None),
+    'quotient-of-classes-check-fail': (1, 'RESULT: FAIL\n', '', None),
+    'quotient-search': (0, 'sha256:bba90742b0f5c4d1', '', None),
+    'quotient-search-fail': (1, 'RESULT: FAIL\n', '', None),
+    'show': (0, 'sha256:a19ebb76bc122f55', '', None),
+    'show-affine': (0, 'sha256:6995eab7d9e5574c', '', None),
+    'show-in-after': (0, 'sha256:6995eab7d9e5574c', '', None),
+    'show-in-before': (0, 'sha256:a19ebb76bc122f55', '', None),
+    'show-missing-in': (
+        2, '',
+        "casim: [Errno 2] No such file or directory: '{tmp}/missing.txt'\n",
+        None),
+    'show-parse-error': (
+        2, '',
+        "casim: line 1: unknown header 'garbage'; expected 'CA v1' or 'AFFINE v1'\n",
+        None),
+    'simple': (0, 'RESULT: PASS\n', '', None),
+    'simple-fail': (1, 'RESULT: FAIL\n', '', None),
+    'simulates-json': (1, 'sha256:e9427d3be1193142', '', None),
+    'simulates-stdin-target-json': (0, 'sha256:65a7a748cfb538ca', '', None),
+    'simulates-unknown': (3, 'sha256:b41aef2fa45ced9c', '', None),
+    'simulates-yes': (0, 'sha256:c9db4f1e1b015888', '', None),
+    'split': (0, 'sha256:d48917d729e98876', '', None),
+    'structure': (0, 'sha256:cc3109b42f83be92', '', None),
+    'subalgebras': (0, 'sha256:420eeeffffd040ab', '', None),
+    'unknown-command': (2, '', 'sha256:204ff4fd9567979b', None),
+    'verify-affine-closure': (0, 'sha256:8570f28b3dd0746e', '', None),
+    'verify-affine-closure-json': (0, 'sha256:509cc2256cabbde1', '', None),
+    'verify-characterization': (1, 'sha256:d1b6c43f1114207d', '', None),
+    'verify-characterization-json': (1, 'sha256:09a9f1a9a57dd025', '', None),
+    'verify-empty-bounds': (
+        2, '',
+        'casim: search bounds need n_max >= 1 and k_max >= 1, got 0 and 2\n',
+        None),
+    'verify-not-applicable': (1, 'sha256:0828e39e63a948fd', '', None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRONT_END_CASES))
+def test_front_end_pinned(name, tmp_path, monkeypatch, capsys):
+    observed = observe_front_end(name, tmp_path, monkeypatch, capsys)
+    expected = FRONT_END_EXPECTED[name]
+    if name in _ARGPARSE_TEXT and sys.version_info[:2] != _RECORDED_ON:
+        observed, expected = observed[:1], expected[:1]
+    assert observed == expected
+
+
+def test_write_errors_exit_2(monkeypatch, capsys, tmp_path):
+    infile = tmp_path / "e30.ca"
+    infile.write_text(cli.print_ca(eca(30)), encoding="ascii")
+    for out in (tmp_path, tmp_path / "missing" / "out.ca"):
+        code, stdout, err = run_cli(["--in", str(infile), "show", "--out", str(out)], "",
+                                    monkeypatch, capsys)
+        assert code == 2 and stdout == "" and "Traceback" not in err
+        assert err.startswith("casim: ") and str(out) in err
+
+    class FullDevice(io.StringIO):
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", FullDevice())
+    code, _, err = run_cli(["eca", "30"], "", monkeypatch, capsys)
+    assert code == 2 and err == "casim: [Errno 28] No space left on device\n"
+
+
+def test_parser_reuse_leaks_nothing(monkeypatch, capsys, tmp_path):
+    """Consecutive calls in one process answer as each does in a fresh one."""
+    ca30 = cli.print_ca(eca(30))
+    rule = cli.print_affine(canonical_additive(3, [2, 0, 1]).as_affine())
+    sequence = [(["--cap", "10", "power", "-n", "3"], ca30), (["power", "-n", "3"], ca30),
+                (["--out", "{out}", "show"], ca30), (["show"], ca30),
+                (["verify", "characterization", "--k-max", "1", "--json"], rule),
+                (["verify", "characterization", "--k-max", "1"], rule)]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    results = []
+    for k, (argv, stdin) in enumerate(sequence):
+        here, fresh = tmp_path / f"here{k}.out", tmp_path / f"fresh{k}.out"
+        code, out, err = run_cli([arg.format(out=here) for arg in argv], stdin,
+                                 monkeypatch, capsys)
+        result = subprocess.run([sys.executable, "-m", "casim"]
+                                + [arg.format(out=fresh) for arg in argv],
+                                input=stdin, capture_output=True, text=True, env=env)
+        assert (code, out, err) == (result.returncode, result.stdout, result.stderr), argv
+        results.append((code, out[:1], here.exists()))
+        assert here.exists() == fresh.exists(), argv
+        if here.exists():
+            assert here.read_text(encoding="ascii") == fresh.read_text(encoding="ascii")
+    # a cap error, then the same power under the default cap; a file, then
+    # stdout; a JSON report, then the text one
+    assert results == [(2, "", False), (0, "C", False), (0, "", True), (0, "C", False),
+                       (1, "{", False), (1, "o", False)]
