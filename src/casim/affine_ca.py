@@ -70,11 +70,6 @@ class AffineAlgebra:
         return self.p ** self.d
 
     @staticmethod
-    def additive(p: int, r: int, components: Sequence[FpMatrix]) -> "AffineAlgebra":
-        d = components[0].rows
-        return AffineAlgebra(p, d, r, tuple(components), (0,) * d)
-
-    @staticmethod
     def singleton(p: int, r: int) -> "AffineAlgebra":
         return AffineAlgebra(p, 0, r, (), ())
 
@@ -90,17 +85,6 @@ class AffineAlgebra:
 
     def decode_state(self, value: int) -> Vector:
         return ca_core.decode_word(value, self.p, self.d)
-
-    def apply_vectors(self, vectors: Sequence[Sequence[int]]) -> Vector:
-        if self.d == 0:
-            return ()
-        p = self.p
-        acc = list(self.constant)
-        for mat, vec in zip(self.components, vectors):
-            img = mat.apply(vec)
-            for t in range(self.d):
-                acc[t] = (acc[t] + img[t]) % p
-        return tuple(acc)
 
     def component_sum(self) -> FpMatrix:
         total = FpMatrix.zero(self.p, self.d)
@@ -185,19 +169,25 @@ def to_table(algebra: AffineAlgebra | CanonicalAdditive, caps: Caps = DEFAULT_CA
 
 def _affine_outputs(algebra: AffineAlgebra, vectors: Sequence[Vector]) -> list[int]:
     """The encoded rule on every neighborhood over a list of state
-    vectors, in the order of ca_core.outputs_on."""
+    vectors (repeats allowed), in the order of ca_core.outputs_on.
+
+    Like outputs_on, the list grows one position at a time: the partial
+    sums start at the encoded constant, and each position adds the
+    encoded image of every vector to each distinct partial sum.
+    """
     p = algebra.p
-    # one base-p digit per coordinate, most significant first: the
-    # coordinate's sum over the neighborhood of the per-position images,
-    # folded position by position in neighborhood order
-    columns = [list(zip(*(mat.apply(vec) for vec in vectors))) for mat in algebra.components]
-    outputs = [0] * len(vectors) ** algebra.arity
-    for t, c in enumerate(algebra.constant):
-        sums = [c]
-        for column in columns:
-            sums = [s + x for s in sums for x in column[t]]
-        outputs = [v * p + s % p for v, s in zip(outputs, sums)]
-    return outputs
+    sums = [algebra.encode_state(algebra.constant)]
+    for mat in algebra.components:
+        images = [algebra.encode_state(mat.apply(vec)) for vec in vectors]
+        added: dict[int, list[int]] = {}
+        for s in set(sums):
+            # shifted[x] encodes s + x, built digit by digit over all states x
+            shifted = [0]
+            for digit in algebra.decode_state(s):
+                shifted = [v * p + (digit + j) % p for v in shifted for j in range(p)]
+            added[s] = [shifted[x] for x in images]
+        sums = [t for s in sums for t in added[s]]
+    return sums
 
 
 def _dimension_over(m: int, p: int) -> int | None:
@@ -548,7 +538,7 @@ def subalgebra_affine(algebra: AffineAlgebra, space: Subspace, anchor: Sequence[
     p = algebra.p
     anchor = tuple(x % p for x in anchor)
     _check_invariant(algebra, space)
-    fixed = algebra.apply_vectors([anchor] * algebra.arity)
+    fixed = algebra.decode_state(_affine_outputs(algebra, [anchor])[0])
     drift = tuple((a - b) % p for a, b in zip(fixed, anchor))
     if not space.contains(drift):
         raise ValueError(
@@ -620,19 +610,6 @@ def quotient_affine(algebra: AffineAlgebra, space: Subspace,
             cols.append(coords(mat.apply(lift(unit))))
         mats.append(FpMatrix(p, e, e, tuple(zip(*cols))))
     return AffineAlgebra(p, e, algebra.r, tuple(mats), coords(algebra.constant))
-
-
-def coset_congruence(algebra: AffineAlgebra, space: Subspace,
-                     caps: Caps = DEFAULT_CAPS) -> ca_core.Congruence:
-    """The congruence on the truth table whose classes are the cosets of
-    an invariant subspace."""
-    _check_invariant(algebra, space)
-    table = to_table(algebra, caps)
-    p, d = algebra.p, algebra.d
-    blocks: dict[Vector, list[int]] = {}
-    for value in range(table.m):
-        blocks.setdefault(space.reduce(ca_core.decode_word(value, p, d)), []).append(value)
-    return ca_core.Congruence.from_blocks(table, blocks.values())
 
 
 @dataclass(frozen=True)
@@ -728,10 +705,6 @@ def affine_isomorphism(a: AffineAlgebra, b: AffineAlgebra,
         translation = solve(shift, rhs)
         if translation is None:
             continue
-        bijection = []
-        for value in range(a.m):
-            image = matrix.apply(ca_core.decode_word(value, p, d))
-            bijection.append(ca_core.encode_word(
-                [(x + u) % p for x, u in zip(image, translation)], p))
-        return tuple(bijection)
+        # the bijection is the radius-0 rule x -> Tx + u
+        return to_table(AffineAlgebra(p, d, 0, (matrix,), translation), caps).table
     return None

@@ -726,14 +726,8 @@ def check_translation(a: LocalAlgebra, b: LocalAlgebra, state_map: dict[int, int
         raise ValueError("embedding state maps must be injective")
 
     def commutes(word: Word) -> bool:
-        translated = tuple(mapping[x] for x in word)
-        if kind == "embed":
-            lhs = tuple(mapping[x] for x in unravel(a, word, steps))
-            rhs = unravel(b, translated, steps)
-        else:
-            lhs = unravel(a, translated, steps)
-            rhs = tuple(mapping[x] for x in unravel(b, word, steps))
-        return lhs == rhs
+        return (tuple(mapping[x] for x in unravel(source, word, steps))
+                == unravel(target, tuple(mapping[x] for x in word), steps))
 
     drawn = None if source.m ** width <= 65536 else sample
     if drawn is None:

@@ -374,10 +374,10 @@ def _cmd_quotient(io: _Io, caps: Caps) -> int:
     if io.args.check and io.args.of is None:
         raise ValueError("quotient --check needs --of: it compares the stdin algebra "
                          "with a quotient of the --of algebra")
-    primary = as_table(io.algebra(), caps)
     if io.args.of is None:
         if io.args.classes is None:
             raise ValueError("quotient needs --classes, or --of with --check")
+        primary = as_table(io.algebra(), caps)
         congruence = ca_core.Congruence.from_blocks(primary, _parse_partition(io.args.classes))
         io.emit(print_ca(ca_core.quotient(primary, congruence)))
         return 0
@@ -388,12 +388,13 @@ def _cmd_quotient(io: _Io, caps: Caps) -> int:
         if not io.args.check:
             io.emit(print_ca(result))
             return 0
-        witness = ca_core.are_isomorphic(result, primary, caps)
+        witness = ca_core.are_isomorphic(result, as_table(io.algebra(), caps), caps)
         if witness is not None:
             io.emit(f"quotient by {congruence} is isomorphic via "
                     + ",".join(str(x) for x in witness) + "\n")
         return _verdict(io, witness is not None)
     # search all congruences of --of for one whose quotient matches stdin
+    primary = as_table(io.algebra(), caps)
     for congruence in ca_core.enumerate_congruences(big, caps):
         result = ca_core.quotient(big, congruence)
         if result.m != primary.m:
@@ -652,7 +653,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--classes", help="partition, e.g. '0,2|1,3'")
     cmd.add_argument("--of", help="file with the algebra to quotient (stdin is the target)")
     cmd.add_argument("--check", action="store_true",
-                     help="check the quotient against the stdin algebra")
+                     help="with --classes, compare that quotient of --of with the "
+                          "stdin algebra; without --classes, --of always searches")
     cmd = command("iso", _cmd_iso, "isomorphism between stdin and a file")
     cmd.add_argument("other")
     cmd = command("fit-affine", _cmd_fit_affine, "recover an affine form")

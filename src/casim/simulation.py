@@ -51,10 +51,6 @@ class SearchBounds:
             return self.size_cap
         return (m ** self.n_max) ** self.k_max
 
-    def describe(self) -> str:
-        cap = "all" if self.size_cap is None else str(self.size_cap)
-        return f"n_max={self.n_max} k_max={self.k_max} size_cap={cap}"
-
 
 DEFAULT_BOUNDS = SearchBounds()
 

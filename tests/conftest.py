@@ -7,7 +7,8 @@ from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, _bijection_conjug
                              classify_affine, e0_evolution, fit_affine, quotient_affine,
                              subalgebra_affine, to_table)
 from casim.caps import DEFAULT_CAPS
-from casim.ca_core import LocalAlgebra, decode_word, encode_word, iterative_power, product
+from casim.ca_core import (Congruence, LocalAlgebra, decode_word, encode_word, iterative_power,
+                           product)
 from casim.fp_linalg import FpMatrix, Subspace, is_prime, one_dim_representatives
 
 
@@ -105,6 +106,27 @@ def rref_gauss_jordan_oracle(matrix):
             break
     reduced = FpMatrix(p, n_rows, n_cols, tuple(tuple(row) for row in rows))
     return reduced, pivot_row
+
+
+def apply_vectors_oracle(algebra, vectors):
+    """f(v_1, ..., v_k) of an affine rule on one neighborhood of state
+    vectors: the constant plus each position's matrix applied to its
+    vector, coordinate by coordinate."""
+    acc = list(algebra.constant)
+    for mat, vec in zip(algebra.components, vectors):
+        acc = [(x + y) % algebra.p for x, y in zip(acc, mat.apply(vec))]
+    return tuple(acc)
+
+
+def coset_congruence_oracle(algebra, space):
+    """The congruence on an affine rule's truth table whose classes are
+    the cosets of a subspace; from_blocks refuses a subspace that is not
+    invariant under every component."""
+    table = to_table(algebra)
+    blocks = {}
+    for value in range(table.m):
+        blocks.setdefault(space.reduce(algebra.decode_state(value)), []).append(value)
+    return Congruence.from_blocks(table, blocks.values())
 
 
 def coset_construction_oracle(member, generator, p, caps=DEFAULT_CAPS):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -6,17 +7,18 @@ import pytest
 
 from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, affine_isomorphism,
                              canonical_additive, check_structure, classify_affine,
-                             component_matrices, coset_congruence, e0_evolution,
+                             component_matrices, e0_evolution,
                              fit_affine, fit_canonical_additive, interleaving_bijection,
                              is_affine_up_to_iso, is_doubly_bijective, quotient_affine,
                              subalgebra_affine, to_table, verify_splitting,
+                             _affine_outputs, _bijection_conjugates, _relabeled_table,
                              _verify_coset_embedding)
 from casim.ca_core import (Congruence, are_isomorphic, eca, enumerate_congruences,
                            enumerate_subalgebras, evolve, iterative_power, product, quotient)
 from casim.caps import DEFAULT_CAPS, CapExceeded, Caps
 from casim.fp_linalg import FpMatrix, Subspace, common_invariant_subspaces, is_invariant
-from conftest import (all_canonical_rules, component_matrices_oracle, doubly_bijective_rules,
-                      random_affine_f2)
+from conftest import (all_canonical_rules, apply_vectors_oracle, coset_congruence_oracle,
+                      component_matrices_oracle, doubly_bijective_rules, random_affine_f2)
 
 
 def test_to_table_eca_cases():
@@ -26,8 +28,14 @@ def test_to_table_eca_cases():
     assert to_table(zero).table == (0,) * 8
 
 
+def _outputs_oracle(algebra, vectors):
+    return [algebra.encode_state(apply_vectors_oracle(algebra, [vectors[x] for x in nb]))
+            for nb in itertools.product(range(len(vectors)), repeat=algebra.arity)]
+
+
 def test_to_table_matches_apply_vectors_oracle():
     rng = random.Random(7)
+    picker = random.Random(70)
     cases = [(p, d, r) for p, d, r in itertools.product((2, 3, 5), range(1, 4), range(3))
              if (p ** d) ** (2 * r + 1) <= 20000]
     for p, d, r in cases + [(2, 12, 0)]:  # the last rule has 4096 states
@@ -41,9 +49,12 @@ def test_to_table_matches_apply_vectors_oracle():
         table = to_table(algebra)
         assert (table.m, table.r) == (m, r)
         states = [algebra.decode_state(v) for v in range(m)]
-        expected = [algebra.encode_state(algebra.apply_vectors([states[x] for x in nb]))
-                    for nb in itertools.product(range(m), repeat=2 * r + 1)]
-        assert list(table.table) == expected
+        assert list(table.table) == _outputs_oracle(algebra, states)
+        # sublists with a repeat, as the coset embedding passes them
+        for k in (1, 2, 3):
+            picks = [picker.choice(states) for _ in range(k)]
+            vectors = picks + picks[:1]
+            assert _affine_outputs(algebra, vectors) == _outputs_oracle(algebra, vectors)
 
 
 def test_to_table_canonical_additive_sums():
@@ -392,7 +403,7 @@ def test_coset_embedding_names_first_failing_neighborhood(rng):
         sub_table = to_table(sub)
         failing = next((nb for nb in itertools.product(range(2), repeat=3)
                         if embed[sub_table.apply(nb)]
-                        != algebra.apply_vectors([embed[t] for t in nb])), None)
+                        != apply_vectors_oracle(algebra, [embed[t] for t in nb])), None)
         if failing is None:
             _verify_coset_embedding(algebra, space, anchor, sub, DEFAULT_CAPS)
             continue
@@ -414,7 +425,7 @@ def test_quotient_affine_matches_table_quotient():
     affine = fit_affine(product([eca(90), eca(150)]), 2)
     space = Subspace.span(2, 2, [(1, 0)])
     table = to_table(affine)
-    congruence = coset_congruence(affine, space)
+    congruence = coset_congruence_oracle(affine, space)
     direct = quotient(table, congruence)
     constructed = to_table(quotient_affine(affine, space))
     assert are_isomorphic(direct, constructed) is not None
@@ -444,7 +455,7 @@ def test_subalgebras_are_cosets(rng):
         for space in invariant:
             members = set(space.vectors())
             for anchor in itertools.product(range(2), repeat=2):
-                image = algebra.apply_vectors([anchor] * 3)
+                image = apply_vectors_oracle(algebra, [anchor] * 3)
                 drift = tuple((a - b) % 2 for a, b in zip(image, anchor))
                 if drift in members:
                     carrier = tuple(sorted(
@@ -512,3 +523,39 @@ def test_affine_isomorphism_matches_general_search(rng):
         # bijection on F_p is affine iff ... p=2: all 2 bijections are affine
         if general is not None:
             assert fast is not None
+
+
+def _random_matrix(rng, p, d):
+    return FpMatrix.from_rows(p, [[rng.randrange(p) for _ in range(d)] for _ in range(d)])
+
+
+def _random_affine(rng, p, d, r):
+    mats = tuple(_random_matrix(rng, p, d) for _ in range(2 * r + 1))
+    return AffineAlgebra(p, d, r, mats, tuple(rng.randrange(p) for _ in range(d)))
+
+
+def test_affine_isomorphism_witnesses_pinned():
+    # witnesses on seeded pairs: a with an affine conjugate of itself
+    # (always isomorphic) and with an unrelated rule; the sha256 of the
+    # whole list was recorded from the decode/apply/encode construction
+    rng = random.Random(14)
+    witnesses = []
+    for p, d, r in [(2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 1, 1), (3, 2, 1), (5, 1, 1),
+                    (2, 2, 2), (3, 2, 0), (2, 4, 0)]:
+        for _ in range(4):
+            a = _random_affine(rng, p, d, r)
+            matrix = FpMatrix.zero(p, d)
+            while not matrix.is_invertible():
+                matrix = _random_matrix(rng, p, d)
+            shift = tuple(rng.randrange(p) for _ in range(d))
+            sigma = [a.encode_state([x + u for x, u in zip(matrix.apply(a.decode_state(v)), shift)])
+                     for v in range(a.m)]
+            conjugate = fit_affine(_relabeled_table(to_table(a), sigma), p)
+            for b in (conjugate, _random_affine(rng, p, d, r)):
+                witness = affine_isomorphism(a, b)
+                if witness is not None:
+                    assert _bijection_conjugates(to_table(a), to_table(b), witness)
+                witnesses.append(witness)
+    assert all(w is not None for w in witnesses[::2])
+    digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()
+    assert digest == "0b85c8bf1499b57f4bbddc81f4c8c1129798c8ace7700734501c8673a127bec8"

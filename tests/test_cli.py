@@ -174,6 +174,20 @@ def test_cmd_quotient_check(monkeypatch, capsys, tmp_path, z4_text):
     assert code == 2 and out == "" and "--of" in err and "Traceback" not in err
 
 
+def test_cmd_quotient_of_ignores_empty_stdin(monkeypatch, capsys, tmp_path, z4_text):
+    # printing a quotient of --of never consults the stdin algebra
+    z4file = tmp_path / "z4.ca"
+    z4file.write_text(z4_text, encoding="ascii")
+    code, out, err = run_cli(["quotient", "--classes", "0,2|1,3", "--of", str(z4file)],
+                             "", monkeypatch, capsys)
+    assert (code, err) == (0, "") and cli.parse_ca(out).table == eca(90).table
+    # the searches and the compared quotient do need it
+    for argv in (["quotient", "--of", str(z4file)],
+                 ["quotient", "--classes", "0,2|1,3", "--of", str(z4file), "--check"]):
+        code, out, err = run_cli(argv, "", monkeypatch, capsys)
+        assert code == 2 and out == "" and "empty input" in err
+
+
 def test_cmd_iso_failure(monkeypatch, capsys, tmp_path):
     other = tmp_path / "other.ca"
     other.write_text(cli.print_ca(eca(150)), encoding="ascii")
