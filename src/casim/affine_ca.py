@@ -143,15 +143,14 @@ class CanonicalAdditive:
         return to_table(self)
 
 
-def canonical_additive(p: int, coefficients: Sequence[int], r: int | None = None) -> CanonicalAdditive:
+def canonical_additive(p: int, coefficients: Sequence[int]) -> CanonicalAdditive:
+    """The rule sum a_i x_i mod p; the 2r+1 coefficients fix the radius r."""
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     coefficients = tuple(x % p for x in coefficients)
-    if r is None:
-        if len(coefficients) % 2 == 0:
-            raise ValueError("coefficient count must be odd (positions -r..r)")
-        r = len(coefficients) // 2
-    return CanonicalAdditive(p, r, coefficients)
+    if len(coefficients) % 2 == 0:
+        raise ValueError("coefficient count must be odd (positions -r..r)")
+    return CanonicalAdditive(p, len(coefficients) // 2, coefficients)
 
 
 def to_table(algebra: AffineAlgebra | CanonicalAdditive, caps: Caps = DEFAULT_CAPS) -> LocalAlgebra:
@@ -238,8 +237,7 @@ def fit_canonical_additive(algebra: LocalAlgebra) -> CanonicalAdditive | None:
     affine = fit_affine(algebra, algebra.m)
     if affine is None or not affine.is_additive():
         return None
-    return CanonicalAdditive(affine.p, affine.r,
-                             tuple(mat.entries[0][0] for mat in affine.components))
+    return canonical_additive(affine.p, [mat.entries[0][0] for mat in affine.components])
 
 
 def _relabeled_table(algebra: LocalAlgebra, sigma: Sequence[int]) -> LocalAlgebra:
@@ -258,6 +256,11 @@ def is_affine_up_to_iso(algebra: LocalAlgebra, p: int,
     Returns (bijection, affine form) for the first success in
     lexicographic bijection order, or None.  State counts that are not
     powers of p are rejected immediately: no relabeling can help.
+
+    Only sigma with sigma(0) = 0 and sigma(1) = 1 are tried: an affine
+    bijection of F_p^d keeps an affine table affine and can move any two
+    distinct states to 0 and 1 (GL is transitive on nonzero vectors),
+    and those sigma come first in lexicographic order.
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
@@ -269,10 +272,10 @@ def is_affine_up_to_iso(algebra: LocalAlgebra, p: int,
     m = algebra.m
     require(m <= caps.relabel_cap,
             f"relabeling search needs m <= {caps.relabel_cap}, got {m}")
-    for sigma in itertools.permutations(range(m)):
+    for sigma in ((0, 1) + rest for rest in itertools.permutations(range(2, m))):
         affine = fit_affine(_relabeled_table(algebra, sigma), p)
         if affine is not None:
-            return (tuple(sigma), affine)
+            return (sigma, affine)
     return None
 
 

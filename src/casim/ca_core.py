@@ -301,14 +301,16 @@ class SpaceTimeDiagram:
 
 
 def evolve(algebra: LocalAlgebra, word: Sequence[int], background: int = 0,
-           steps: int = 0, mode: str = "background") -> SpaceTimeDiagram:
+           steps: int = 0, mode: str = "background",
+           caps: Caps = DEFAULT_CAPS) -> SpaceTimeDiagram:
     """Run the global rule for `steps` steps from a finite word.
 
     Background mode embeds the word at cells [0, len-1] in a uniform
     background; the tracked window widens by r per side each step and
     the background itself evolves by b <- f(b, ..., b), which matters
     for rules without a quiescent state.  Cyclic mode keeps the word
-    length fixed and wraps indices around.
+    length fixed and wraps indices around.  The diagram's
+    (steps + 1) x width cells must be within `table_cap`.
     """
     m, r = algebra.m, algebra.r
     word = tuple(word)
@@ -321,6 +323,11 @@ def evolve(algebra: LocalAlgebra, word: Sequence[int], background: int = 0,
         raise ValueError(f"background state {background} out of range")
     if steps < 0:
         raise ValueError("step count must be nonnegative")
+    if mode not in ("background", "cyclic"):
+        raise ValueError("mode must be 'background' or 'cyclic'")
+    width = len(word) + (2 * steps * r if mode == "background" else 0)
+    require((steps + 1) * width <= caps.table_cap,
+            f"space-time diagram needs {steps + 1}x{width} cells, cap {caps.table_cap}")
     diagonal = _diagonal(algebra)
     backgrounds = [background]
     for _ in range(steps):
@@ -332,17 +339,11 @@ def evolve(algebra: LocalAlgebra, word: Sequence[int], background: int = 0,
             prev = rows[-1]
             rows.append(unravel(algebra, [prev[i % n] for i in range(-r, n + r)]))
         return SpaceTimeDiagram(m, tuple(rows), 0, tuple(backgrounds), "cyclic")
-    if mode != "background":
-        raise ValueError("mode must be 'background' or 'cyclic'")
     windows = [word]
-    for t in range(steps):
-        prev, b = windows[-1], backgrounds[t]
-        padded = (b,) * (2 * r) + prev + (b,) * (2 * r)
-        windows.append(unravel(algebra, padded, 1))
-    rows = []
-    for t, win in enumerate(windows):
-        pad = (steps - t) * r
-        rows.append((backgrounds[t],) * pad + win + (backgrounds[t],) * pad)
+    for b in backgrounds[:-1]:
+        windows.append(unravel(algebra, (b,) * (2 * r) + windows[-1] + (b,) * (2 * r)))
+    rows = [(b,) * ((steps - t) * r) + win + (b,) * ((steps - t) * r)
+            for t, (win, b) in enumerate(zip(windows, backgrounds))]
     return SpaceTimeDiagram(m, tuple(rows), -steps * r, tuple(backgrounds), "background")
 
 
@@ -439,14 +440,14 @@ def _merge(label: Sequence[int], x: int, y: int) -> Sequence[int]:
     return label if lo == hi else [lo if k == hi else k for k in label]
 
 
-def _principal_congruence(columns: Sequence[Word], m: int, a: int, b: int) -> Word:
+def _principal_congruence(columns: Sequence[Word], a: int, b: int) -> Word:
     """Least-state labels of the smallest congruence identifying a and b.
 
     `columns[x]` lists the images of state x under the non-constant
     basic translations; each merged pair pushes its distinct successor
     pairs, which by transitivity is enough (Freese 2008).
     """
-    label: Sequence[int] = tuple(range(m))
+    label: Sequence[int] = tuple(range(len(columns)))
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
@@ -479,7 +480,7 @@ def enumerate_congruences(algebra: LocalAlgebra, caps: Caps = DEFAULT_CAPS) -> l
     maps = list(dict.fromkeys(t for translations in _translations(algebra)
                               for t in translations if len(set(t)) > 1))
     columns = list(zip(*maps)) or [()] * m
-    principals = [_principal_congruence(columns, m, a, b)
+    principals = [_principal_congruence(columns, a, b)
                   for a in range(m) for b in range(a + 1, m)]
     found = join_closure(tuple(range(m)), principals, _join_labels,
                          caps.lattice_cap, "congruence lattice")
@@ -487,14 +488,12 @@ def enumerate_congruences(algebra: LocalAlgebra, caps: Caps = DEFAULT_CAPS) -> l
     return [Congruence(algebra, part) for part in ordered]
 
 
-def quotient(algebra: LocalAlgebra, congruence: Congruence) -> LocalAlgebra:
-    """Quotient algebra on the blocks, computed on representatives."""
-    if congruence.algebra is not algebra and congruence.algebra != algebra:
-        raise ValueError("congruence belongs to a different algebra")
+def quotient(congruence: Congruence) -> LocalAlgebra:
+    """Quotient of the congruence's algebra, computed on block representatives."""
     label = congruence.class_labels()
     reps = [block[0] for block in congruence.blocks]
-    return LocalAlgebra(len(reps), algebra.r,
-                        tuple(label[out] for out in outputs_on(algebra, reps)))
+    return LocalAlgebra(len(reps), congruence.algebra.r, tuple(
+        label[out] for out in outputs_on(congruence.algebra, reps)))
 
 
 def _subalgebra_closure(algebra: LocalAlgebra, seed: Iterable[int]) -> tuple[int, ...]:
@@ -594,9 +593,7 @@ def are_isomorphic(a: LocalAlgebra, b: LocalAlgebra,
     and forced-assignment propagation; the first witness found is the
     lexicographically least one.  Returns None when no bijection exists.
     """
-    if a.r != b.r:
-        return None
-    if a.m != b.m:
+    if a.r != b.r or a.m != b.m:
         return None
     m = a.m
     if a.table == b.table:

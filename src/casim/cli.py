@@ -202,8 +202,8 @@ def as_canonical(algebra: LocalAlgebra | AffineAlgebra) -> CanonicalAdditive:
     if isinstance(algebra, AffineAlgebra):
         if algebra.d != 1 or not algebra.is_additive():
             raise ValueError("a canonical additive rule (dim 1, zero constant) is required")
-        return CanonicalAdditive(
-            algebra.p, algebra.r, tuple(mat.entries[0][0] for mat in algebra.components))
+        return affine_ca.canonical_additive(
+            algebra.p, [mat.entries[0][0] for mat in algebra.components])
     canonical = affine_ca.fit_canonical_additive(algebra)
     if canonical is None:
         raise ValueError("the input table is not canonical additive")
@@ -335,14 +335,14 @@ def _cmd_evolve(io: _Io, caps: Caps) -> int:
     boundary = io.args.boundary
     if boundary.startswith("background:"):
         background = int(boundary.split(":", 1)[1])
-        diagram = ca_core.evolve(algebra, word, background, io.args.steps, "background")
+        diagram = ca_core.evolve(algebra, word, background, io.args.steps, "background", caps)
     elif boundary.startswith("cyclic:"):
         length = int(boundary.split(":", 1)[1])
         if length < len(word):
             raise ValueError("cyclic length is shorter than the initial word")
         pad = length - len(word)
         ring = (0,) * (pad // 2) + word + (0,) * (pad - pad // 2)
-        diagram = ca_core.evolve(algebra, ring, 0, io.args.steps, "cyclic")
+        diagram = ca_core.evolve(algebra, ring, 0, io.args.steps, "cyclic", caps)
     else:
         raise ValueError("boundary must be background:<state> or cyclic:<length>")
     if io.args.render == "pgm":
@@ -376,15 +376,15 @@ def _cmd_quotient(io: _Io, caps: Caps) -> int:
                          "with a quotient of the --of algebra")
     if io.args.of is None:
         if io.args.classes is None:
-            raise ValueError("quotient needs --classes, or --of with --check")
+            raise ValueError("quotient needs --classes or --of")
         primary = as_table(io.algebra(), caps)
         congruence = ca_core.Congruence.from_blocks(primary, _parse_partition(io.args.classes))
-        io.emit(print_ca(ca_core.quotient(primary, congruence)))
+        io.emit(print_ca(ca_core.quotient(congruence)))
         return 0
     big = as_table(io.algebra(io.args.of), caps)
     if io.args.classes is not None:
         congruence = ca_core.Congruence.from_blocks(big, _parse_partition(io.args.classes))
-        result = ca_core.quotient(big, congruence)
+        result = ca_core.quotient(congruence)
         if not io.args.check:
             io.emit(print_ca(result))
             return 0
@@ -396,7 +396,7 @@ def _cmd_quotient(io: _Io, caps: Caps) -> int:
     # search all congruences of --of for one whose quotient matches stdin
     primary = as_table(io.algebra(), caps)
     for congruence in ca_core.enumerate_congruences(big, caps):
-        result = ca_core.quotient(big, congruence)
+        result = ca_core.quotient(congruence)
         if result.m != primary.m:
             continue
         witness = ca_core.are_isomorphic(result, primary, caps)
@@ -410,8 +410,7 @@ def _cmd_quotient(io: _Io, caps: Caps) -> int:
 def _cmd_iso(io: _Io, caps: Caps) -> int:
     left = as_table(io.algebra(), caps)
     right = as_table(io.algebra(io.args.other), caps)
-    matcher = simulation._IsoMatcher(caps.scaled_to(max(left.m, right.m)))
-    witness = matcher.find(left, right)
+    witness = simulation._IsoMatcher(caps).find(left, right)
     if witness is not None:
         io.emit("iso " + ",".join(str(x) for x in witness) + "\n")
     return _verdict(io, witness is not None)
@@ -444,13 +443,10 @@ def _matrix_lines(mat: FpMatrix) -> list[str]:
 def _cmd_matrices(io: _Io, caps: Caps) -> int:
     algebra = io.algebra()
     if io.args.n is not None:
-        rule = as_canonical(algebra)
-        matrices = affine_ca.component_matrices(rule, io.args.n, caps)
-        r = rule.r
+        matrices = affine_ca.component_matrices(as_canonical(algebra), io.args.n, caps)
     else:
-        affine = as_affine(algebra)
-        matrices = [affine.component(i) for i in range(-affine.r, affine.r + 1)]
-        r = affine.r
+        matrices = as_affine(algebra).components
+    r = len(matrices) // 2  # one matrix per position -r..r
     for i, mat in zip(range(-r, r + 1), matrices):
         io.emit(f"component {i}\n")
         for line in _matrix_lines(mat):
@@ -472,7 +468,7 @@ def _cmd_structure(io: _Io, caps: Caps) -> int:
 def _cmd_invariant_subspaces(io: _Io, caps: Caps) -> int:
     rule = as_canonical(io.algebra())
     matrices = affine_ca.component_matrices(rule, io.args.n, caps)
-    for space in common_invariant_subspaces(matrices, io.args.n, caps=caps):
+    for space in common_invariant_subspaces(matrices, caps=caps):
         io.emit(f"dim {space.dim}: {space}\n")
     return 0
 
@@ -480,8 +476,7 @@ def _cmd_invariant_subspaces(io: _Io, caps: Caps) -> int:
 def _cmd_simple(io: _Io, caps: Caps) -> int:
     rule = as_canonical(io.algebra())
     matrices = affine_ca.component_matrices(rule, io.args.n, caps)
-    simple = is_simple(matrices, io.args.n)
-    return _verdict(io, simple)
+    return _verdict(io, is_simple(matrices, caps=caps))
 
 
 def _cmd_split(io: _Io, caps: Caps) -> int:

@@ -352,16 +352,17 @@ def join_closure(bottom: Member, generators: Iterable[Member],
     return members
 
 
-def _check_maps(maps: Sequence[FpMatrix], n: int) -> int:
+def _check_maps(maps: Sequence[FpMatrix]) -> tuple[int, int]:
+    """(p, n) when every map is an n x n matrix over one F_p."""
     if not maps:
         raise ValueError("cannot infer modulus from an empty map list")
-    p = maps[0].p
+    p, n = maps[0].p, maps[0].rows
     for m in maps:
         if m.rows != n or m.cols != n:
             raise ValueError(f"map dimensions {m.rows}x{m.cols} do not match ambient {n}")
         if m.p != p:
             raise ValueError("maps have mismatched moduli")
-    return p
+    return p, n
 
 
 def invariant_closure(seed: Iterable[Sequence[int]], maps: Sequence[FpMatrix]) -> Subspace:
@@ -370,8 +371,7 @@ def invariant_closure(seed: Iterable[Sequence[int]], maps: Sequence[FpMatrix]) -
     echelon row list: each spanning vector meets each map once, an image
     `_insert` adds waits its own turn, the spin stops once the rows fill
     F_p^n, and the Subspace is built once, at the end."""
-    n = maps[0].rows if maps else 0
-    p = _check_maps(maps, n)
+    p, n = _check_maps(maps)
     rows = list(Subspace.span(p, n, seed).basis)
     pending = list(rows)
     while pending and len(rows) < n:
@@ -383,7 +383,18 @@ def invariant_closure(seed: Iterable[Sequence[int]], maps: Sequence[FpMatrix]) -
     return Subspace(p, n, tuple(rows))
 
 
-def common_invariant_subspaces(maps: Sequence[FpMatrix], n: int, *,
+def _line_closures(maps: Sequence[FpMatrix], caps: Caps) -> tuple[Subspace, Iterator[Subspace]]:
+    """The zero space of F_p^n and the invariant closures of its lines,
+    spun lazily, once the (p^n-1)/(p-1) lines are within `onedim_cap`."""
+    p, n = _check_maps(maps)
+    reps = (p ** n - 1) // (p - 1)
+    require(reps <= caps.onedim_cap,
+            f"{reps} one-dimensional subspaces exceed cap {caps.onedim_cap}")
+    return Subspace.zero(p, n), (invariant_closure([v], maps)
+                                 for v in one_dim_representatives(p, n))
+
+
+def common_invariant_subspaces(maps: Sequence[FpMatrix], *,
                                caps: Caps = DEFAULT_CAPS) -> list[Subspace]:
     """The full lattice of subspaces of F_p^n invariant under all maps.
 
@@ -392,24 +403,16 @@ def common_invariant_subspaces(maps: Sequence[FpMatrix], n: int, *,
     those closures, plus the zero space.  Output is ordered by dimension
     and then lexicographically by RREF basis.
     """
-    p = _check_maps(maps, n)
-    reps = (p ** n - 1) // (p - 1)
-    require(reps <= caps.onedim_cap,
-            f"{reps} one-dimensional subspaces exceed cap {caps.onedim_cap}")
-    closures = (invariant_closure([v], maps) for v in one_dim_representatives(p, n))
-    lattice = join_closure(Subspace.zero(p, n), closures, Subspace.join,
+    zero, closures = _line_closures(maps, caps)
+    lattice = join_closure(zero, closures, Subspace.join,
                            caps.lattice_cap, "invariant-subspace lattice")
     return sorted(lattice, key=Subspace.sort_key)
 
 
-def is_simple(maps: Sequence[FpMatrix], n: int) -> bool:
+def is_simple(maps: Sequence[FpMatrix], *, caps: Caps = DEFAULT_CAPS) -> bool:
     """True when only the trivial subspaces are invariant under all maps,
     i.e. every nonzero vector generates the full space."""
-    p = _check_maps(maps, n)
-    for v in one_dim_representatives(p, n):
-        if not invariant_closure([v], maps).is_full():
-            return False
-    return True
+    return all(space.is_full() for space in _line_closures(maps, caps)[1])
 
 
 def is_invariant(space: Subspace, maps: Sequence[FpMatrix]) -> bool:

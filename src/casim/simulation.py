@@ -97,8 +97,7 @@ def replay_derivation(generator: LocalAlgebra, derivation: Derivation,
     """Rebuild the algebra a derivation describes, from scratch."""
     algebra = _Powers(generator, caps).product(derivation.powers)
     algebra = ca_core.restrict(algebra, derivation.carrier)
-    congruence = Congruence(algebra, derivation.partition)
-    return ca_core.quotient(algebra, congruence)
+    return ca_core.quotient(Congruence(algebra, derivation.partition))
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ class ClosureInventory:
 class _IsoMatcher:
     """Isomorphism testing ladder shared by dedup and verdict search:
     table equality, then the affine conjugacy fast path, then general
-    backtracking search."""
+    backtracking search, with `iso_cap` raised to the size compared."""
 
     def __init__(self, caps: Caps) -> None:
         self.caps = caps
@@ -164,7 +163,7 @@ class _IsoMatcher:
             witness = affine_ca.affine_isomorphism(form_a, form_b, self.caps)
             if witness is not None:
                 return witness
-        return ca_core.are_isomorphic(a, b, self.caps)
+        return ca_core.are_isomorphic(a, b, self.caps.scaled_to(a.m))
 
 
 _INVENTORY_CACHE: dict[tuple, ClosureInventory] = {}
@@ -192,7 +191,7 @@ def closure_members(generator: LocalAlgebra, bounds: SearchBounds = DEFAULT_BOUN
 
     members: list[ClosureMember] = []
     by_fingerprint: dict[tuple, list[int]] = {}
-    matcher = _IsoMatcher(scaled)
+    matcher = _IsoMatcher(caps)
 
     def register(algebra: LocalAlgebra, derivation: Derivation) -> None:
         fingerprint = ca_core.algebra_fingerprint(algebra)
@@ -235,8 +234,8 @@ def closure_members(generator: LocalAlgebra, bounds: SearchBounds = DEFAULT_BOUN
                     complete = False
                     continue
                 for congruence in congruences:
-                    quotient = ca_core.quotient(restricted, congruence)
-                    register(quotient, Derivation(multiset, carrier, congruence.blocks))
+                    register(ca_core.quotient(congruence),
+                             Derivation(multiset, carrier, congruence.blocks))
 
     inventory = ClosureInventory(generator, bounds, tuple(members), complete)
     _INVENTORY_CACHE[cache_key] = inventory
@@ -340,7 +339,7 @@ def simulates(target: LocalAlgebra, simulator: LocalAlgebra,
     """
     if target.r != simulator.r:
         raise ValueError("simulation is defined between algebras of equal radius")
-    matcher = _IsoMatcher(caps.scaled_to(target.m))
+    matcher = _IsoMatcher(caps)
     if target.m == 1:
         witness = SimulationWitness(
             Derivation((1,), _full_carrier(simulator), (_full_carrier(simulator),)), (0,))
@@ -397,8 +396,11 @@ class CanonicalClass:
     kind: str  # "constant" | "projection" | "characterized"
     coordinate: int | None
     doubly_bijective: bool
-    exact_decision: bool
     caveat: str | None
+
+    @property
+    def exact_decision(self) -> bool:  # simulates decides these rules exactly
+        return self.doubly_bijective
 
     def describe(self) -> str:
         if self.kind == "constant":
@@ -418,15 +420,15 @@ def classify_canonical(rule: CanonicalAdditive) -> CanonicalClass:
         raise ValueError("the capacity classification covers radius 1 only")
     support = rule.support()
     if not support:
-        return CanonicalClass(rule, "constant", None, False, False, None)
+        return CanonicalClass(rule, "constant", None, False, None)
     if len(support) == 1:
-        return CanonicalClass(rule, "projection", support[0], False, False, None)
+        return CanonicalClass(rule, "projection", support[0], False, None)
     db = affine_ca.is_doubly_bijective(rule)
     caveat = None
     if not db:
         caveat = ("center coefficient is zero: not doubly bijective, so membership "
                   "is checked by bounded search instead of the exact procedure")
-    return CanonicalClass(rule, "characterized", None, db, db, caveat)
+    return CanonicalClass(rule, "characterized", None, db, caveat)
 
 
 @dataclass(frozen=True)
@@ -471,7 +473,7 @@ def verify_characterization(rule: CanonicalAdditive, bounds: SearchBounds = DEFA
         raise ValueError("the characterization check needs at least two nonzero coefficients")
     generator = rule.to_table()
     inventory = closure_members(generator, bounds, caps)
-    matcher = _IsoMatcher(caps.scaled_to(bounds.effective_size_cap(generator.m)))
+    matcher = _IsoMatcher(caps)
     p = rule.p
     powers = _Powers(generator, caps)
     items = []

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, _bijection_conjugates,
-                             classify_affine, e0_evolution, fit_affine, quotient_affine,
-                             subalgebra_affine, to_table)
+                             _relabeled_table, classify_affine, e0_evolution, fit_affine,
+                             quotient_affine, subalgebra_affine, to_table)
 from casim.caps import DEFAULT_CAPS
 from casim.ca_core import (Congruence, LocalAlgebra, decode_word, encode_word, iterative_power,
                            product)
@@ -188,6 +188,17 @@ def coset_construction_oracle(member, generator, p, caps=DEFAULT_CAPS):
     if not _bijection_conjugates(member.algebra, result_table, bijection):
         return None
     return result
+
+
+def relabel_scan_oracle(algebra, p):
+    """(bijection, affine form) for the first state relabeling, over all
+    m! of them in lexicographic order, whose table fits an affine rule
+    over F_p; None when none does."""
+    for sigma in itertools.permutations(range(algebra.m)):
+        affine = fit_affine(_relabeled_table(algebra, sigma), p)
+        if affine is not None:
+            return sigma, affine
+    return None
 
 
 def random_local_algebra(rng, m, r=1):

@@ -18,7 +18,8 @@ from casim.ca_core import (Congruence, are_isomorphic, eca, enumerate_congruence
 from casim.caps import DEFAULT_CAPS, CapExceeded, Caps
 from casim.fp_linalg import FpMatrix, Subspace, common_invariant_subspaces, is_invariant
 from conftest import (all_canonical_rules, apply_vectors_oracle, coset_congruence_oracle,
-                      component_matrices_oracle, doubly_bijective_rules, random_affine_f2)
+                      component_matrices_oracle, doubly_bijective_rules, random_affine_f2,
+                      random_local_algebra, relabel_scan_oracle)
 
 
 def test_to_table_eca_cases():
@@ -105,12 +106,31 @@ def test_affine_up_to_iso():
 
 def test_affine_up_to_iso_quotient(z4_rule):
     parity = Congruence.from_blocks(z4_rule, [[0, 2], [1, 3]])
-    image = quotient(z4_rule, parity)
+    image = quotient(parity)
     found = is_affine_up_to_iso(image, 2)
     assert found is not None
     bijection, affine = found
     assert affine.is_additive()
     assert tuple(m.entries[0][0] for m in affine.components) == (1, 0, 1)
+
+
+def test_affine_up_to_iso_matches_full_relabel_scan(rng):
+    # seeded random tables (a few are affine up to iso by chance) and
+    # affine tables under a random relabeling (always are); the search
+    # over sigma(0) = 0, sigma(1) = 1 must return the full scan's witness
+    cases = [(p, random_local_algebra(rng, m))
+             for p, m in [(2, 2), (3, 3), (2, 4), (5, 5)] for _ in range(6)]
+    for p, d, r in [(2, 2, 1), (3, 1, 1), (5, 1, 1), (2, 3, 1), (3, 2, 0)]:
+        for _ in range(3):
+            sigma = list(range(p ** d))
+            rng.shuffle(sigma)
+            cases.append((p, _relabeled_table(to_table(_random_affine(rng, p, d, r)), sigma)))
+    found = 0
+    for p, algebra in cases:
+        expected = relabel_scan_oracle(algebra, p)
+        assert is_affine_up_to_iso(algebra, p) == expected, (p, algebra)
+        found += expected is not None
+    assert found >= 15
 
 
 def test_e0_evolution_known_rows():
@@ -426,7 +446,7 @@ def test_quotient_affine_matches_table_quotient():
     space = Subspace.span(2, 2, [(1, 0)])
     table = to_table(affine)
     congruence = coset_congruence_oracle(affine, space)
-    direct = quotient(table, congruence)
+    direct = quotient(congruence)
     constructed = to_table(quotient_affine(affine, space))
     assert are_isomorphic(direct, constructed) is not None
 
@@ -450,7 +470,7 @@ def test_subalgebras_are_cosets(rng):
         algebra = random_affine_f2(rng, d=2)
         table = to_table(algebra)
         mats = list(algebra.components)
-        invariant = common_invariant_subspaces(mats, 2)
+        invariant = common_invariant_subspaces(mats)
         expected = set()
         for space in invariant:
             members = set(space.vectors())
@@ -494,7 +514,7 @@ def test_counterexamples_break_linearity():
                               (0, 0))
     ptable = to_table(projector)
     orbit = next(c for c in enumerate_congruences(ptable) if len(c.blocks) == 3)
-    image = quotient(ptable, orbit)
+    image = quotient(orbit)
     assert image.m == 3
     assert is_affine_up_to_iso(image, 2) is None
 

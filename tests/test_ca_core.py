@@ -308,6 +308,23 @@ def test_evolve_cyclic_matches_per_cell_oracle(rng):
             assert diagram.rows == tuple(rows)
 
 
+def test_evolve_gated_on_table_cap():
+    # 3 steps from a 3-cell word at radius 1: 4 rows of 3 + 2*3 = 9 cells
+    # in background mode, 4 rows of the 3-cell ring in cyclic mode
+    word = (1, 0, 1)
+    assert evolve(eca(30), word, 0, 3, caps=Caps(table_cap=36)).width == 9
+    with pytest.raises(CapExceeded, match="^space-time diagram needs 4x9 cells, cap 35$"):
+        evolve(eca(30), word, 0, 3, caps=Caps(table_cap=35))
+    assert evolve(eca(30), word, 0, 3, "cyclic", Caps(table_cap=12)).width == 3
+    with pytest.raises(CapExceeded, match="^space-time diagram needs 4x3 cells, cap 11$"):
+        evolve(eca(30), word, 0, 3, "cyclic", Caps(table_cap=11))
+    # checked before the first step: 10^6 steps would take minutes
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        evolve(eca(30), (1,), 0, 10 ** 6)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_subalgebra_examples():
     assert enumerate_subalgebras(eca(150)) == [(0,), (1,), (0, 1)]
     assert enumerate_subalgebras(eca(90)) == [(0,), (0, 1)]
@@ -400,7 +417,7 @@ def test_congruences_match_partition_oracle(rng):
         congruences = enumerate_congruences(algebra)
         assert {c.blocks for c in congruences} == oracle
         for congruence in congruences:
-            image = quotient(algebra, congruence)
+            image = quotient(congruence)
             block_of = {x: k for k, block in enumerate(congruence.blocks) for x in block}
             for nb in itertools.product(range(algebra.m), repeat=algebra.arity):
                 assert image.apply([block_of[x] for x in nb]) == block_of[algebra.apply(nb)]
@@ -416,7 +433,7 @@ def test_principal_congruences_match_context_scan_oracle(rng):
         columns = list(zip(*maps)) or [()] * m
         for a in range(m):
             for b in range(a + 1, m):
-                assert _principal_congruence(columns, m, a, b) == \
+                assert _principal_congruence(columns, a, b) == \
                     least_state_labels(principal_congruence_oracle(algebra, a, b))
 
 
@@ -436,7 +453,7 @@ def test_congruences_match_union_find_oracle_on_eca_powers(number):
 
 def test_quotient_parity(z4_rule):
     parity = Congruence.from_blocks(z4_rule, [[0, 2], [1, 3]])
-    image = quotient(z4_rule, parity)
+    image = quotient(parity)
     assert image.table == eca(90).table
     assert are_isomorphic(image, eca(90)) == (0, 1)
 
@@ -444,9 +461,9 @@ def test_quotient_parity(z4_rule):
 def test_quotient_trivial_cases(rng):
     algebra = random_local_algebra(rng, 3)
     discrete = Congruence.from_blocks(algebra, [[0], [1], [2]])
-    assert quotient(algebra, discrete).table == algebra.table
+    assert quotient(discrete).table == algebra.table
     full = Congruence.from_blocks(algebra, [[0, 1, 2]])
-    assert quotient(algebra, full).m == 1
+    assert quotient(full).m == 1
 
 
 def test_congruence_rejects_incompatible(z4_rule):

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,30 @@ def test_cmd_e0_structure_simple(monkeypatch, capsys):
     assert code == 0 and "RESULT: PASS" in out
     code, out, _ = run_cli(["simple", "-n", "3"], rule, monkeypatch, capsys)
     assert code == 1  # n = p: the power splits, so it is not simple
+
+
+def test_simple_and_evolve_gated_before_work(monkeypatch, capsys):
+    # simple -n 15 over F_3 would spin 7,174,453 lines, and 5000 steps
+    # from one cell would build 5001 rows of 10001 cells: both exit 2 at once
+    _, rule, _ = run_cli(["canonical", "-p", "3", "-a", "2", "1", "1"], "",
+                         monkeypatch, capsys)
+    _, ca30, _ = run_cli(["eca", "30"], "", monkeypatch, capsys)
+    for argv, text, message in (
+            (["simple", "-n", "15"], rule,
+             "7174453 one-dimensional subspaces exceed cap 1000000"),
+            (["evolve", "--init", "1", "--steps", "5000"], ca30,
+             "space-time diagram needs 5001x10001 cells, cap 10000000")):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, text, monkeypatch, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and message in err and "Traceback" not in err
+    # --cap moves the evolve gate: 3 steps from one cell are 4 rows of 7 cells
+    code, out, err = run_cli(["--cap", "27", "evolve", "--init", "1", "--steps", "3"],
+                             ca30, monkeypatch, capsys)
+    assert code == 2 and out == "" and "4x7 cells, cap 27" in err
+    code, out, _ = run_cli(["--cap", "28", "evolve", "--init", "1", "--steps", "3"],
+                           ca30, monkeypatch, capsys)
+    assert code == 0 and out.splitlines()[-1] == "1101111"
 
 
 def test_cmd_invariant_subspaces(monkeypatch, capsys):
@@ -539,7 +564,7 @@ FRONT_END_EXPECTED = {
     'product-stdin-factor': (0, 'sha256:8a70bc5f6e048525', '', None),
     'product-two': (0, 'sha256:bea83b2ec4d8e033', '', None),
     'quotient-classes': (0, 'sha256:821f92566b7eeeab', '', None),
-    'quotient-no-args': (2, '', 'casim: quotient needs --classes, or --of with --check\n', None),
+    'quotient-no-args': (2, '', 'casim: quotient needs --classes or --of\n', None),
     'quotient-of-classes': (0, 'sha256:821f92566b7eeeab', '', None),
     'quotient-of-classes-check': (0, 'sha256:aefbc84c143f4cfe', '', None),
     'quotient-of-classes-check-fail': (1, 'RESULT: FAIL\n', '', None),

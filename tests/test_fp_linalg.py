@@ -6,9 +6,10 @@ import pytest
 from casim.affine_ca import component_matrices
 from casim.ca_core import LocalAlgebra, enumerate_congruences, enumerate_subalgebras
 from casim.caps import CapExceeded, Caps
-from casim.fp_linalg import (FpMatrix, Subspace, common_invariant_subspaces, invariant_closure,
-                             is_invariant, is_prime, is_simple, nullspace_basis,
-                             one_dim_representatives, rref, solve)
+from casim import fp_linalg
+from casim.fp_linalg import (FpMatrix, Subspace, _check_maps, common_invariant_subspaces,
+                             invariant_closure, is_invariant, is_prime, is_simple,
+                             nullspace_basis, one_dim_representatives, rref, solve)
 from conftest import (all_canonical_rules, all_subspaces, invariant_closure_fixpoint_oracle,
                       rref_gauss_jordan_oracle)
 
@@ -228,12 +229,12 @@ def test_invariant_closure_rejects_bad_input():
 
 def test_common_invariant_subspaces_two_chains():
     J = FpMatrix.shift(2, 2)
-    lattice = common_invariant_subspaces([J, J.transpose()], 2)
+    lattice = common_invariant_subspaces([J, J.transpose()])
     assert [s.dim for s in lattice] == [0, 2]
 
 
 def test_common_invariant_subspaces_identity():
-    lattice = common_invariant_subspaces([FpMatrix.identity(3, 2)], 2)
+    lattice = common_invariant_subspaces([FpMatrix.identity(3, 2)])
     assert len(lattice) == 6  # {0}, four lines, the plane
 
 
@@ -250,13 +251,41 @@ def test_lattice_matches_exhaustive_oracle(rng):
             cases.append((p, n, [random_matrix(rng, p, n, n)]))
     for p, n, maps in cases:
         expected = [s for s in all_subspaces(p, n) if is_invariant(s, maps)]
-        assert common_invariant_subspaces(maps, n) == expected
+        assert common_invariant_subspaces(maps) == expected
 
 
 def test_is_simple_examples():
     J2 = FpMatrix.shift(2, 2)
-    assert is_simple([J2, J2.transpose()], 2)
-    assert not is_simple([FpMatrix.identity(3, 2)], 2)
+    assert is_simple([J2, J2.transpose()])
+    assert not is_simple([FpMatrix.identity(3, 2)])
+
+
+def test_is_simple_gated_on_onedim_cap(monkeypatch):
+    # F_2^2 has three lines; past a cap of 2 the scan is refused before
+    # any line is spun
+    J2 = FpMatrix.shift(2, 2)
+    assert is_simple([J2, J2.transpose()], caps=Caps(onedim_cap=3))
+    monkeypatch.setattr(fp_linalg, "invariant_closure", None)
+    with pytest.raises(CapExceeded, match="^3 one-dimensional subspaces exceed cap 2$"):
+        is_simple([J2, J2.transpose()], caps=Caps(onedim_cap=2))
+
+
+@pytest.mark.parametrize("maps, message", [
+    ([], "empty map list"),
+    ([FpMatrix.zero(2, 2, 3)], "map dimensions 2x3 do not match ambient 2"),
+    ([FpMatrix.identity(2, 2), FpMatrix.identity(2, 3)],
+     "map dimensions 3x3 do not match ambient 2"),
+    ([FpMatrix.identity(2, 2), FpMatrix.identity(3, 2)], "maps have mismatched moduli"),
+], ids=["empty", "non-square", "unequal", "moduli"])
+def test_check_maps_refuses_inconsistent_maps(maps, message):
+    with pytest.raises(ValueError, match=message):
+        _check_maps(maps)
+    with pytest.raises(ValueError, match=message):
+        is_simple(maps)
+
+
+def test_check_maps_reads_modulus_and_dimension():
+    assert _check_maps([FpMatrix.identity(3, 4), FpMatrix.shift(3, 4)]) == (3, 4)
 
 
 def test_single_chain_pairs_are_simple():
@@ -264,8 +293,8 @@ def test_single_chain_pairs_are_simple():
     for p in (2, 3):
         for n in range(1, 7):
             J = FpMatrix.shift(p, n)
-            assert is_simple([J, J.transpose()], n)
-            lattice = common_invariant_subspaces([J, J.transpose()], n)
+            assert is_simple([J, J.transpose()])
+            lattice = common_invariant_subspaces([J, J.transpose()])
             assert [s.dim for s in lattice] == sorted({0, n})
 
 
@@ -275,7 +304,7 @@ def test_double_chain_odd_dimension():
     for p in (2, 3):
         for n in (1, 3, 5):
             J2 = FpMatrix.shift(p, n).power(2)
-            lattice = common_invariant_subspaces([J2, J2.transpose()], n)
+            lattice = common_invariant_subspaces([J2, J2.transpose()])
             nontrivial = {s.basis for s in lattice if not s.is_trivial()}
             odd = Subspace.span(p, n, [tuple(1 if i == k else 0 for i in range(n))
                                        for k in range(0, n, 2)])
@@ -292,12 +321,12 @@ def test_one_dim_representatives_count():
 
 def test_lattice_cap():
     with pytest.raises(CapExceeded):
-        common_invariant_subspaces([FpMatrix.identity(2, 8)], 8, caps=Caps(onedim_cap=10))
+        common_invariant_subspaces([FpMatrix.identity(2, 8)], caps=Caps(onedim_cap=10))
 
 
 @pytest.mark.parametrize("enumerate_lattice, size, what", [
     # F_2^4 has 67 subspaces, all invariant under the identity
-    (lambda caps: common_invariant_subspaces([FpMatrix.identity(2, 4)], 4, caps=caps), 67,
+    (lambda caps: common_invariant_subspaces([FpMatrix.identity(2, 4)], caps=caps), 67,
      "invariant-subspace lattice"),
     # every one of the 15 partitions of 4 states is a congruence of the identity rule
     (lambda caps: enumerate_congruences(LocalAlgebra(4, 0, (0, 1, 2, 3)), caps), 15,

@@ -1,12 +1,13 @@
 import pytest
 
-from casim.affine_ca import AffineAlgebra, canonical_additive, fit_affine, to_table
-from casim.caps import Caps
+from casim.affine_ca import (AffineAlgebra, _bijection_conjugates, _relabeled_table,
+                             canonical_additive, fit_affine, to_table)
+from casim.caps import DEFAULT_CAPS, CapExceeded, Caps
 from casim.ca_core import (LocalAlgebra, are_isomorphic, eca, enumerate_congruences,
                            enumerate_subalgebras, product, quotient, restrict,
                            singleton)
 from casim.fp_linalg import FpMatrix
-from casim.simulation import (SearchBounds, classify_canonical, closure_members,
+from casim.simulation import (SearchBounds, _IsoMatcher, classify_canonical, closure_members,
                               replay_derivation, replay_witness, simulates,
                               verify_affine_closure, verify_characterization)
 from conftest import coset_construction_oracle, random_local_algebra
@@ -28,6 +29,22 @@ def test_closure_members_incomplete_past_table_cap():
     within = closure_members(eca(110), SearchBounds(2, 1), caps)
     assert not cut.complete and within.complete
     assert cut.members == within.members
+
+
+def test_iso_matcher_lifts_iso_cap_to_the_size_compared(rng):
+    # 12 states is above the default iso_cap of 10, and 12 is no prime
+    # power, so the ladder reaches the backtracking search; the matcher
+    # raises the gate itself and returns the lex-least witness
+    a = random_local_algebra(rng, 12)
+    sigma = list(range(12))
+    rng.shuffle(sigma)
+    b = _relabeled_table(a, sigma)
+    assert a.table != b.table
+    witness = _IsoMatcher(DEFAULT_CAPS).find(a, b)
+    assert witness == are_isomorphic(a, b, Caps(iso_cap=12))
+    assert _bijection_conjugates(a, b, witness)
+    with pytest.raises(CapExceeded):
+        are_isomorphic(a, b, DEFAULT_CAPS)
 
 
 def test_closure_of_singleton():
@@ -74,7 +91,7 @@ def test_closure_is_closed_at_bounds(z4_rule):
                 assert any(are_isomorphic(image, other.algebra) is not None
                            for other in tables if other.size == image.m)
             for congruence in enumerate_congruences(algebra):
-                image = quotient(algebra, congruence)
+                image = quotient(congruence)
                 assert any(are_isomorphic(image, other.algebra) is not None
                            for other in tables if other.size == image.m)
 
@@ -167,7 +184,7 @@ def test_classify_canonical_cases():
     assert record.kind == "characterized" and not record.doubly_bijective
     assert record.caveat is not None
     with pytest.raises(ValueError):
-        classify_canonical(canonical_additive(3, [1, 1, 1, 1, 1], r=2))
+        classify_canonical(canonical_additive(3, [1, 1, 1, 1, 1]))
 
 
 def test_characterization_f3_rules_pass():
