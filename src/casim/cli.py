@@ -388,7 +388,8 @@ def _cmd_quotient(io: _Io, caps: Caps) -> int:
         if not io.args.check:
             io.emit(print_ca(result))
             return 0
-        witness = ca_core.are_isomorphic(result, as_table(io.algebra(), caps), caps)
+        witness = ca_core.are_isomorphic(result, as_table(io.algebra(), caps),
+                                         caps.scaled_to(result.m))
         if witness is not None:
             io.emit(f"quotient by {congruence} is isomorphic via "
                     + ",".join(str(x) for x in witness) + "\n")
@@ -399,7 +400,7 @@ def _cmd_quotient(io: _Io, caps: Caps) -> int:
         result = ca_core.quotient(congruence)
         if result.m != primary.m:
             continue
-        witness = ca_core.are_isomorphic(result, primary, caps)
+        witness = ca_core.are_isomorphic(result, primary, caps.scaled_to(result.m))
         if witness is not None:
             io.emit(f"classes {congruence}\n")
             io.emit("iso " + ",".join(str(x) for x in witness) + "\n")
@@ -686,7 +687,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.run(io, caps)
         io.finish()
     except CapExceeded as exc:
-        print(f"casim: {exc} (raise --cap or the search bounds)", file=sys.stderr)
+        print(f"casim: {exc} (--cap raises only the table cap)", file=sys.stderr)
         return 2
     except (FormatError, ValueError, OSError) as exc:
         print(f"casim: {exc}", file=sys.stderr)

@@ -7,6 +7,13 @@ row-echelon form, which makes them canonical: two subspaces are equal
 exactly when their fields compare equal.  Every echelon form here, from
 `rref` to the invariant spin, is grown by one step, `_insert`, which adds
 one vector at a time.
+
+Simplicity is decided by Norton's irreducibility test from the MeatAxe
+(Parker 1984; Holt and Rees 1994): two nullspaces of one singular
+element M_i - lambda*I are spun under the maps and their transposes.
+Only when no such element is singular does `is_simple` fall back to
+spinning every line of F_p^n; `common_invariant_subspaces` spins every
+line unless the test proves the maps simple.
 """
 
 from __future__ import annotations
@@ -313,12 +320,12 @@ class Subspace:
 
 
 def one_dim_representatives(p: int, n: int) -> Iterator[Vector]:
-    """One normalized vector (first nonzero entry 1) per line of F_p^n."""
-    vectors = itertools.product(range(p), repeat=n)
-    next(vectors)  # the zero vector spans no line
-    for vec in vectors:
-        if next(x for x in vec if x) == 1:
-            yield vec
+    """One normalized vector (first nonzero entry 1) per line of F_p^n,
+    in lexicographic order: the leading 1 moves left, and each free tail
+    after it runs through F_p in order."""
+    for lead in range(n - 1, -1, -1):
+        for tail in itertools.product(range(p), repeat=n - 1 - lead):
+            yield (0,) * lead + (1,) + tail
 
 
 def join_closure(bottom: Member, generators: Iterable[Member],
@@ -394,25 +401,66 @@ def _line_closures(maps: Sequence[FpMatrix], caps: Caps) -> tuple[Subspace, Iter
                                  for v in one_dim_representatives(p, n))
 
 
+def _norton(maps: Sequence[FpMatrix]) -> bool | None:
+    """Norton's irreducibility test: whether only the trivial subspaces
+    are invariant under all maps, or None when no theta = M_i - lambda*I
+    is singular.  theta is the first candidate, map by map and lambda by
+    lambda, of least nonzero nullity.  The maps act simply exactly when
+    every line of null(theta) spins to F_p^n under the maps and every
+    line of null(theta^T) under their transposes: a proper invariant U
+    either meets null(theta), or theta is bijective on U and so singular
+    on F_p^n / U, and then the transpose-invariant U^perp meets
+    null(theta^T)."""
+    p, n = _check_maps(maps)
+    identity = FpMatrix.identity(p, n)
+    theta, kernel = None, []
+    for m, lam in itertools.product(maps, range(p)):
+        candidate = m.add(identity.scale(-lam))
+        null = nullspace_basis(candidate)
+        if null and (not kernel or len(null) < len(kernel)):
+            theta, kernel = candidate, null
+            if len(kernel) == 1:
+                break
+    if theta is None:
+        return None
+    transposes = [m.transpose() for m in maps]
+    for basis, spin in ((kernel, maps), (nullspace_basis(theta.transpose()), transposes)):
+        for coeffs in one_dim_representatives(p, len(basis)):
+            line = tuple(sum(c * b for c, b in zip(coeffs, column)) % p
+                         for column in zip(*basis))
+            if not invariant_closure([line], spin).is_full():
+                return False
+    return True
+
+
 def common_invariant_subspaces(maps: Sequence[FpMatrix], *,
                                caps: Caps = DEFAULT_CAPS) -> list[Subspace]:
     """The full lattice of subspaces of F_p^n invariant under all maps.
 
     Every invariant subspace is the join of the invariant closures of
     its one-dimensional subspaces, so the lattice is the join-closure of
-    those closures, plus the zero space.  Output is ordered by dimension
-    and then lexicographically by RREF basis.
+    those closures, plus the zero space.  When Norton's test proves the
+    maps simple, every closure is F_p^n and F_p^n alone is joined;
+    otherwise every line is spun.  Output is ordered by dimension and
+    then lexicographically by RREF basis.
     """
     zero, closures = _line_closures(maps, caps)
-    lattice = join_closure(zero, closures, Subspace.join,
+    generators = [Subspace.full(zero.p, zero.ambient)] if _norton(maps) else closures
+    lattice = join_closure(zero, generators, Subspace.join,
                            caps.lattice_cap, "invariant-subspace lattice")
     return sorted(lattice, key=Subspace.sort_key)
 
 
 def is_simple(maps: Sequence[FpMatrix], *, caps: Caps = DEFAULT_CAPS) -> bool:
     """True when only the trivial subspaces are invariant under all maps,
-    i.e. every nonzero vector generates the full space."""
-    return all(space.is_full() for space in _line_closures(maps, caps)[1])
+    i.e. every nonzero vector generates the full space.  Decided by
+    Norton's test; only when no M_i - lambda*I is singular is every line
+    of F_p^n spun."""
+    closures = _line_closures(maps, caps)[1]
+    answer = _norton(maps)
+    if answer is None:
+        return all(space.is_full() for space in closures)
+    return answer
 
 
 def is_invariant(space: Subspace, maps: Sequence[FpMatrix]) -> bool:

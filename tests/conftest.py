@@ -9,7 +9,7 @@ from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, _bijection_conjug
 from casim.caps import DEFAULT_CAPS
 from casim.ca_core import (Congruence, LocalAlgebra, decode_word, encode_word, iterative_power,
                            product)
-from casim.fp_linalg import FpMatrix, Subspace, is_prime, one_dim_representatives
+from casim.fp_linalg import FpMatrix, Subspace, invariant_closure, is_prime
 
 
 @pytest.fixture
@@ -55,7 +55,7 @@ def all_subspaces(p, n):
     if p ** n > 729:
         raise ValueError(f"all_subspaces is an oracle for small spaces, got p^n={p ** n}")
     lattice = {(): Subspace.zero(p, n)}
-    lines = [Subspace.span(p, n, [v]) for v in one_dim_representatives(p, n)]
+    lines = [Subspace.span(p, n, [v]) for v in one_dim_filter_oracle(p, n)]
     for line in lines:
         lattice[line.basis] = line
     pending = list(lines)
@@ -67,6 +67,23 @@ def all_subspaces(p, n):
                 lattice[joined.basis] = joined
                 pending.append(joined)
     return sorted(lattice.values(), key=Subspace.sort_key)
+
+
+def one_dim_filter_oracle(p, n):
+    """One normalized vector (first nonzero entry 1) per line of F_p^n,
+    by filtering all p^n vectors in lexicographic order."""
+    vectors = itertools.product(range(p), repeat=n)
+    next(vectors)  # the zero vector spans no line
+    for vec in vectors:
+        if next(x for x in vec if x) == 1:
+            yield vec
+
+
+def is_simple_scan_oracle(maps):
+    """True when the invariant closure of every line of F_p^n is F_p^n:
+    the exhaustive simplicity scan, (p^n-1)/(p-1) spins."""
+    p, n = maps[0].p, maps[0].rows
+    return all(invariant_closure([v], maps).is_full() for v in one_dim_filter_oracle(p, n))
 
 
 def invariant_closure_fixpoint_oracle(seed, maps, p, n):

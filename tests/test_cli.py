@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 from casim import cli
-from casim.affine_ca import canonical_additive, fit_affine, to_table
-from casim.ca_core import LocalAlgebra, eca, iterative_power
+from casim.affine_ca import _relabeled_table, canonical_additive, fit_affine, to_table
+from casim.ca_core import LocalAlgebra, are_isomorphic, eca, iterative_power
+from casim.caps import Caps
+from conftest import random_local_algebra
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -188,6 +190,31 @@ def test_cmd_quotient_of_ignores_empty_stdin(monkeypatch, capsys, tmp_path, z4_t
         code, out, err = run_cli(argv, "", monkeypatch, capsys)
         assert code == 2 and out == "" and "empty input" in err
 
+
+
+def test_cmd_quotient_lifts_iso_cap_to_the_size_compared(monkeypatch, capsys, tmp_path, rng):
+    # 12 states is above the default iso_cap of 10: both quotient forms
+    # compare the 12-state quotient with the stdin algebra at a cap
+    # raised to its size, as `iso` does, and print are_isomorphic's witness
+    big = random_local_algebra(rng, 12, r=0)
+    sigma = list(range(12))
+    rng.shuffle(sigma)
+    target = _relabeled_table(big, sigma)
+    assert big.table != target.table
+    witness = ",".join(str(x) for x in are_isomorphic(big, target, Caps(iso_cap=12)))
+    of = tmp_path / "big.ca"
+    of.write_text(cli.print_ca(big), encoding="ascii")
+    text = cli.print_ca(target)
+    code, out, _ = run_cli(["iso", str(of)], text, monkeypatch, capsys)
+    assert code == 0
+    discrete = "|".join(str(x) for x in range(12))
+    code, out, err = run_cli(["quotient", "--of", str(of), "--classes", discrete, "--check"],
+                             text, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"is isomorphic via {witness}\nRESULT: PASS\n")
+    code, out, err = run_cli(["quotient", "--of", str(of)], text, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert out == f"classes {discrete}\niso {witness}\nRESULT: PASS\n"
 
 def test_cmd_iso_failure(monkeypatch, capsys, tmp_path):
     other = tmp_path / "other.ca"
@@ -550,11 +577,11 @@ FRONT_END_EXPECTED = {
     'power-affine': (0, 'sha256:4b7bff2ff02941f9', '', None),
     'power-cap-after': (
         2, '',
-        'casim: iterative power table needs 2^9 entries, cap 10 (raise --cap or the search bounds)\n',
+        'casim: iterative power table needs 2^9 entries, cap 10 (--cap raises only the table cap)\n',
         None),
     'power-cap-before': (
         2, '',
-        'casim: iterative power table needs 2^9 entries, cap 10 (raise --cap or the search bounds)\n',
+        'casim: iterative power table needs 2^9 entries, cap 10 (--cap raises only the table cap)\n',
         None),
     'power-cap-both': (0, 'sha256:434a750b5e94edf3', '', None),
     'power-in-before-out-after': (0, '', '', 'sha256:5641776151483520'),

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from casim.affine_ca import component_matrices
+from casim.affine_ca import canonical_additive, component_matrices
 from casim.ca_core import LocalAlgebra, enumerate_congruences, enumerate_subalgebras
 from casim.caps import CapExceeded, Caps
 from casim import fp_linalg
@@ -11,11 +11,18 @@ from casim.fp_linalg import (FpMatrix, Subspace, _check_maps, common_invariant_s
                              invariant_closure, is_invariant, is_prime, is_simple,
                              nullspace_basis, one_dim_representatives, rref, solve)
 from conftest import (all_canonical_rules, all_subspaces, invariant_closure_fixpoint_oracle,
-                      rref_gauss_jordan_oracle)
+                      is_simple_scan_oracle, one_dim_filter_oracle, rref_gauss_jordan_oracle)
 
 
 def random_matrix(rng, p, rows, cols):
     return FpMatrix.from_rows(p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
+
+
+# x -> [[0,1],[1,1]] x has characteristic polynomial x^2 + x + 1, which has
+# no root in F_2: no M - lambda*I is singular, on it or on two copies of it
+NO_EIGENVALUE_F2 = FpMatrix.from_rows(2, [[0, 1], [1, 1]])
+NO_EIGENVALUE_F2_TWICE = FpMatrix.from_rows(
+    2, [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]])
 
 
 def test_prime_validation():
@@ -249,6 +256,10 @@ def test_lattice_matches_exhaustive_oracle(rng):
         for _ in range(6):
             n = rng.randrange(2, 5 if p == 2 else 4)
             cases.append((p, n, [random_matrix(rng, p, n, n)]))
+        for _ in range(4):  # pairs, mostly simple: the lattice is read off Norton's test
+            n = rng.randrange(2, 5 if p == 2 else 4)
+            cases.append((p, n, [random_matrix(rng, p, n, n) for _ in range(2)]))
+    cases += [(2, 2, [NO_EIGENVALUE_F2]), (2, 4, [NO_EIGENVALUE_F2_TWICE])]
     for p, n, maps in cases:
         expected = [s for s in all_subspaces(p, n) if is_invariant(s, maps)]
         assert common_invariant_subspaces(maps) == expected
@@ -268,6 +279,57 @@ def test_is_simple_gated_on_onedim_cap(monkeypatch):
     monkeypatch.setattr(fp_linalg, "invariant_closure", None)
     with pytest.raises(CapExceeded, match="^3 one-dimensional subspaces exceed cap 2$"):
         is_simple([J2, J2.transpose()], caps=Caps(onedim_cap=2))
+
+
+def test_is_simple_matches_scan_on_canonical_rules():
+    # every radius-1 canonical rule over F_2, F_3 and F_5, its n-th powers
+    for p, n_max in ((2, 7), (3, 6), (5, 3)):
+        for rule in all_canonical_rules(p):
+            for n in range(1, n_max + 1):
+                maps = component_matrices(rule, n)
+                assert is_simple(maps) == is_simple_scan_oracle(maps), (rule.coefficients, n)
+
+
+def test_is_simple_matches_scan_on_random_maps():
+    rng = random.Random(17)
+    undecided = 0
+    for _ in range(200):
+        p = rng.choice((2, 3, 5))
+        n = rng.randrange(1, 5 if p < 5 else 4)
+        maps = [random_matrix(rng, p, n, n) for _ in range(rng.randrange(1, 4))]
+        assert is_simple(maps) == is_simple_scan_oracle(maps), (p, maps)
+        undecided += fp_linalg._norton(maps) is None
+    assert undecided > 0  # some sets reach the fallback scan
+    # no singular M - lambda*I: the fallback scan decides, both ways
+    for maps, simple in (([NO_EIGENVALUE_F2], True), ([NO_EIGENVALUE_F2_TWICE], False)):
+        assert fp_linalg._norton(maps) is None
+        assert is_simple(maps) is simple is is_simple_scan_oracle(maps)
+
+
+def test_norton_spins_two_lines_where_the_scan_spins_every_line(monkeypatch):
+    # F_3 (2,1,1) at n = 10 has 29,524 lines; Norton's test spins one line
+    # of a one-dimensional null(theta) and one of null(theta^T)
+    maps = component_matrices(canonical_additive(3, [2, 1, 1]), 10)
+    spins = []
+
+    def counting_closure(seed, spin_maps):
+        spins.append(seed)
+        return invariant_closure(seed, spin_maps)
+
+    monkeypatch.setattr(fp_linalg, "invariant_closure", counting_closure)
+    assert is_simple(maps)
+    assert len(spins) <= 2
+    spins.clear()
+    assert [s.dim for s in common_invariant_subspaces(maps)] == [0, 10]
+    assert len(spins) <= 2
+
+
+def test_lattice_cap_gates_a_simple_module():
+    # the shortcut still joins {0} and F_p^n under the lattice cap
+    J = FpMatrix.shift(3, 6)
+    with pytest.raises(CapExceeded, match="^invariant-subspace lattice exceeds 1 members$"):
+        common_invariant_subspaces([J, J.transpose()], caps=Caps(lattice_cap=1))
+    assert len(common_invariant_subspaces([J, J.transpose()], caps=Caps(lattice_cap=2))) == 2
 
 
 @pytest.mark.parametrize("maps, message", [
@@ -317,6 +379,10 @@ def test_double_chain_odd_dimension():
 def test_one_dim_representatives_count():
     assert len(list(one_dim_representatives(3, 2))) == 4
     assert len(list(one_dim_representatives(2, 4))) == 15
+    # the same lexicographic sequence as filtering all p^n vectors
+    for p in (2, 3, 5):
+        for n in range(6):
+            assert list(one_dim_representatives(p, n)) == list(one_dim_filter_oracle(p, n))
 
 
 def test_lattice_cap():
