@@ -20,7 +20,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, require
 from .fp_linalg import join_closure
@@ -440,21 +440,27 @@ def _merge(label: Sequence[int], x: int, y: int) -> Sequence[int]:
     return label if lo == hi else [lo if k == hi else k for k in label]
 
 
-def _principal_congruence(columns: Sequence[Word], a: int, b: int) -> Word:
+def _principal_congruence(columns: Sequence[Word], a: int, b: int,
+                          known: Container[Word] = ()) -> Word:
     """Least-state labels of the smallest congruence identifying a and b.
 
     `columns[x]` lists the images of state x under the non-constant
     basic translations; each merged pair pushes its distinct successor
-    pairs, which by transitivity is enough (Freese 2008).
+    pairs, which by transitivity is enough (Freese 2008).  Returns as
+    soon as the labels equal a member of `known`, whose members must be
+    congruences: one that relates a and b contains Cg(a, b), and the
+    labels never pass Cg(a, b), so it is Cg(a, b).
     """
-    label: Sequence[int] = tuple(range(len(columns)))
+    label = tuple(range(len(columns)))
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
         if label[x] != label[y]:
-            label = _merge(label, x, y)
+            label = tuple(_merge(label, x, y))
+            if label in known:
+                return label
             stack.extend(set(zip(columns[x], columns[y])))
-    return tuple(label)
+    return label
 
 
 def _join_labels(l1: Word, l2: Word) -> Word:
@@ -480,8 +486,12 @@ def enumerate_congruences(algebra: LocalAlgebra, caps: Caps = DEFAULT_CAPS) -> l
     maps = list(dict.fromkeys(t for translations in _translations(algebra)
                               for t in translations if len(set(t)) > 1))
     columns = list(zip(*maps)) or [()] * m
-    principals = [_principal_congruence(columns, a, b)
-                  for a in range(m) for b in range(a + 1, m)]
+    known = {(0,) * m}
+    principals = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            principals.append(_principal_congruence(columns, a, b, known))
+            known.add(principals[-1])
     found = join_closure(tuple(range(m)), principals, _join_labels,
                          caps.lattice_cap, "congruence lattice")
     ordered = sorted(map(_partition_of_labels, found), key=lambda part: (-len(part), part))
@@ -496,13 +506,22 @@ def quotient(congruence: Congruence) -> LocalAlgebra:
         label[out] for out in outputs_on(congruence.algebra, reps)))
 
 
-def _subalgebra_closure(algebra: LocalAlgebra, seed: Iterable[int]) -> tuple[int, ...]:
-    """Smallest carrier containing `seed` and closed under the rule."""
+def _subalgebra_closure(algebra: LocalAlgebra, seed: Iterable[int],
+                        known: Container[Word] = ()) -> tuple[int, ...]:
+    """Smallest carrier containing `seed` and closed under the rule.
+
+    Returns as soon as the growing set, sorted, is a member of `known`,
+    whose members must be closed: the growing set lies inside Sg(seed),
+    so a closed set equal to it is Sg(seed).
+    """
     members = set(seed)
     while True:
-        grown = members.union(outputs_on(algebra, list(members)))
+        carrier = tuple(sorted(members))
+        if carrier in known:
+            return carrier
+        grown = members.union(outputs_on(algebra, carrier))
         if len(grown) == len(members):
-            return tuple(sorted(members))
+            return carrier
         members = grown
 
 
@@ -519,9 +538,16 @@ def enumerate_subalgebras(algebra: LocalAlgebra, caps: Caps = DEFAULT_CAPS) -> l
     require(m <= caps.subalgebra_cap,
             f"subalgebra enumeration needs m <= {caps.subalgebra_cap}, got {m}")
     generated = [_subalgebra_closure(algebra, [s]) for s in range(m)]
-    found = join_closure(generated[0], generated[1:],
-                         lambda c1, c2: c1 if set(c2) <= set(c1)
-                         else _subalgebra_closure(algebra, c1 + c2),
+    known = set(generated)  # join_closure's members, all closed
+
+    def join(c1: Word, c2: Word) -> Word:
+        if set(c2) <= set(c1):
+            return c1
+        joined = _subalgebra_closure(algebra, c1 + c2, known)
+        known.add(joined)
+        return joined
+
+    found = join_closure(generated[0], generated[1:], join,
                          caps.lattice_cap, "subalgebra lattice")
     return sorted(found, key=lambda c: (len(c), c))
 

@@ -6,15 +6,17 @@ from pathlib import Path
 import pytest
 
 import casim
-from casim.affine_ca import _bijection_conjugates, _relabeled_table
+from casim import ca_core
+from casim.affine_ca import (_bijection_conjugates, _relabeled_table, canonical_additive,
+                             to_table)
 from casim.caps import CapExceeded, Caps
 from casim.ca_core import (Congruence, LocalAlgebra, _partition_of_labels,
                            _principal_congruence, _subalgebra_closure, _translations,
                            are_isomorphic, canonical_partition,
                            check_translation, decode_word, eca, encode_word,
                            enumerate_congruences, enumerate_subalgebras, evolve, idempotents,
-                           iterative_power, pack, permutivity, product, quotient, restrict,
-                           singleton, unpack, unravel, wolfram_number)
+                           iterative_power, outputs_on, pack, permutivity, product,
+                           quotient, restrict, singleton, unpack, unravel, wolfram_number)
 from casim.fp_linalg import join_closure
 from conftest import random_local_algebra
 
@@ -372,6 +374,43 @@ def test_subalgebras_match_frontier_oracle_on_eca_products(number):
         assert enumerate_subalgebras(algebra) == subalgebras_frontier_oracle(algebra)
 
 
+def low_image_algebra(rng, m, r):
+    """Random rule whose outputs fall in two or three states, so most
+    joins of one-generated carriers land on a carrier already found."""
+    image = rng.sample(range(m), rng.randrange(2, 4))
+    return LocalAlgebra(m, r, tuple(rng.choice(image) for _ in range(m ** (2 * r + 1))))
+
+
+def test_subalgebras_match_frontier_oracle_where_joins_reach_known_carriers(rng):
+    b = to_table(canonical_additive(3, [2, 1, 1]))
+    algebra = product([b, iterative_power(b, 2)])
+    found = enumerate_subalgebras(algebra, Caps().scaled_to(algebra.m))
+    assert len(found) == 40
+    assert found == subalgebras_frontier_oracle(algebra)
+    for _ in range(10):
+        algebra = low_image_algebra(rng, rng.randrange(5, 9), rng.randrange(2))
+        assert enumerate_subalgebras(algebra) == subalgebras_frontier_oracle(algebra)
+
+
+def test_subalgebra_joins_stop_at_known_carriers(monkeypatch):
+    b2 = iterative_power(eca(150), 2)
+    algebra = product([b2, b2])
+    evaluated = []
+
+    def counted(rule, states):
+        outputs = outputs_on(rule, states)
+        evaluated.append(len(outputs))
+        return outputs
+
+    monkeypatch.setattr(ca_core, "outputs_on", counted)
+    found = enumerate_subalgebras(algebra)
+    monkeypatch.undo()
+    assert len(found) == 307
+    assert found == subalgebras_frontier_oracle(algebra)
+    # joins that re-derive a carrier already found evaluate 2,234,041
+    assert sum(evaluated) <= 1_121_116
+
+
 def test_full_carrier_always_closed(rng):
     algebra = random_local_algebra(rng, 4)
     assert tuple(range(4)) in enumerate_subalgebras(algebra)
@@ -431,10 +470,13 @@ def test_principal_congruences_match_context_scan_oracle(rng):
         maps = [t for translations in _translations(algebra) for t in translations
                 if len(set(t)) > 1]
         columns = list(zip(*maps)) or [()] * m
+        known = {(0,) * m}  # as enumerate_congruences threads it
         for a in range(m):
             for b in range(a + 1, m):
-                assert _principal_congruence(columns, a, b) == \
-                    least_state_labels(principal_congruence_oracle(algebra, a, b))
+                expected = least_state_labels(principal_congruence_oracle(algebra, a, b))
+                assert _principal_congruence(columns, a, b) == expected
+                assert _principal_congruence(columns, a, b, known) == expected
+                known.add(expected)
 
 
 @pytest.mark.parametrize("number", [30, 110, 150])
