@@ -434,40 +434,117 @@ def _translations(algebra: LocalAlgebra) -> list[dict[Word, int]]:
     return translations
 
 
-def _merge(label: Sequence[int], x: int, y: int) -> Sequence[int]:
-    """The least-state label vector with the classes of x and y merged."""
-    lo, hi = sorted((label[x], label[y]))
-    return label if lo == hi else [lo if k == hi else k for k in label]
+def _unite(parent: list[int], pairs: Iterable[tuple[int, int]]) -> None:
+    """Merge the classes of each pair (x, y) in the union-find forest `parent`.
+
+    Roots are always the least state of their tree: the larger root is
+    linked under the smaller, and path halving only moves a state onto
+    a smaller one, so parent[x] <= x throughout.
+    """
+    for x, y in pairs:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
 
 
-def _principal_congruence(columns: Sequence[Word], a: int, b: int,
-                          known: Container[Word] = ()) -> Word:
-    """Least-state labels of the smallest congruence identifying a and b.
+def _flatten(parent: list[int]) -> Word:
+    """The least-state labels of a forest built by `_unite`: since
+    parent[x] <= x, the label of parent[x] is final by the time an
+    ascending pass reaches x."""
+    for x, up in enumerate(parent):
+        parent[x] = parent[up]
+    return tuple(parent)
+
+
+def _join(l1: Word, l2: Word) -> Word:
+    """The join of two congruences given as least-state label vectors."""
+    parent = list(l1)
+    _unite(parent, enumerate(l2))
+    return _flatten(parent)
+
+
+def _principal_congruences(columns: Sequence[Word]) -> list[Word]:
+    """Least-state labels of Cg(a, b) for every a < b, in (a, b) order.
 
     `columns[x]` lists the images of state x under the non-constant
-    basic translations; each merged pair pushes its distinct successor
-    pairs, which by transitivity is enough (Freese 2008).  Returns as
-    soon as the labels equal a member of `known`, whose members must be
-    congruences: one that relates a and b contains Cg(a, b), and the
-    labels never pass Cg(a, b), so it is Cg(a, b).
+    basic translations.  The pair graph has a node x*m + y per pair
+    {x, y}, x < y, whose successors are the non-diagonal pairs of
+    zip(columns[x], columns[y]); Cg(a, b) is the equivalence generated
+    by the pairs reachable from {a, b} (Freese, "Computing congruences
+    efficiently", Algebra Universalis 59, 2008).  An iterative Tarjan
+    DFS (Tarjan, SIAM J. Comput. 1, 1972) emits the strongly connected
+    components successors first, so each component is labelled by the
+    join of its own pairs and of its successor components' labels.
+    Successors are read from `columns` when a pair is visited and again
+    when its component is labelled; no successor list is kept.
     """
-    label = tuple(range(len(columns)))
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if label[x] != label[y]:
-            label = tuple(_merge(label, x, y))
-            if label in known:
-                return label
-            stack.extend(set(zip(columns[x], columns[y])))
-    return label
+    m = len(columns)
+    order = [0] * (m * m)  # DFS number, from 1; 0 while unvisited
+    low = [0] * (m * m)
+    comp = [-1] * (m * m)  # index into `labels` once the component is done
+    labels: list[Word] = []
+    index: dict[Word, int] = {}
+    tarjan: list[int] = []  # visited pairs whose component is not done
+    count = 0
 
+    def successors(v: int) -> Iterator[int]:
+        x, y = divmod(v, m)
+        for s, t in zip(columns[x], columns[y]):
+            if s != t:
+                yield s * m + t if s < t else t * m + s
 
-def _join_labels(l1: Word, l2: Word) -> Word:
-    label: Sequence[int] = l1
-    for x, lead in enumerate(l2):
-        label = _merge(label, x, lead)
-    return tuple(label)
+    def label_component(v: int) -> None:
+        start = len(tarjan) - 1
+        while tarjan[start] != v:
+            start -= 1
+        members = tarjan[start:]
+        del tarjan[start:]
+        for u in members:
+            comp[u] = len(labels)  # no finished component has this index
+        below = {comp[w] for u in members for w in successors(u)}
+        below.discard(len(labels))
+        parent = list(range(m))
+        _unite(parent, (divmod(u, m) for u in members))
+        for c in below:
+            _unite(parent, enumerate(labels[c]))
+        label = _flatten(parent)
+        c = index.setdefault(label, len(labels))
+        if c == len(labels):
+            labels.append(label)
+        for u in members:
+            comp[u] = c
+
+    for a in range(m):
+        for root in range(a * m + a + 1, a * m + m):
+            if order[root]:
+                continue
+            count += 1
+            order[root] = low[root] = count
+            tarjan.append(root)
+            path = [(root, successors(root))]
+            while path:
+                v, edges = path[-1]
+                for w in edges:
+                    if not order[w]:
+                        count += 1
+                        order[w] = low[w] = count
+                        tarjan.append(w)
+                        path.append((w, successors(w)))
+                        break
+                    if comp[w] < 0 and order[w] < low[v]:
+                        low[v] = order[w]
+                else:
+                    path.pop()
+                    if path and low[v] < low[path[-1][0]]:
+                        low[path[-1][0]] = low[v]
+                    if low[v] == order[v]:
+                        label_component(v)
+    return [labels[comp[a * m + b]] for a in range(m) for b in range(a + 1, m)]
 
 
 def enumerate_congruences(algebra: LocalAlgebra, caps: Caps = DEFAULT_CAPS) -> list[Congruence]:
@@ -476,7 +553,10 @@ def enumerate_congruences(algebra: LocalAlgebra, caps: Caps = DEFAULT_CAPS) -> l
     Every congruence is the join of the principal congruences of its
     related pairs, and the join of congruences (transitive closure of
     the union) is again a congruence, so this enumeration is complete.
-    Partitions are handled as least-state label vectors, equal exactly
+    The principals come from one condensation of the pair graph
+    (`_principal_congruences`), so none is a run of its own that stops
+    at a known member; only subalgebra joins do that.  Joins are
+    union-find over least-state label vectors, which are equal exactly
     when the partitions are.  Ordered finest to coarsest (block count
     descending, then blocks).
     """
@@ -486,13 +566,7 @@ def enumerate_congruences(algebra: LocalAlgebra, caps: Caps = DEFAULT_CAPS) -> l
     maps = list(dict.fromkeys(t for translations in _translations(algebra)
                               for t in translations if len(set(t)) > 1))
     columns = list(zip(*maps)) or [()] * m
-    known = {(0,) * m}
-    principals = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            principals.append(_principal_congruence(columns, a, b, known))
-            known.add(principals[-1])
-    found = join_closure(tuple(range(m)), principals, _join_labels,
+    found = join_closure(tuple(range(m)), _principal_congruences(columns), _join,
                          caps.lattice_cap, "congruence lattice")
     ordered = sorted(map(_partition_of_labels, found), key=lambda part: (-len(part), part))
     return [Congruence(algebra, part) for part in ordered]

@@ -218,6 +218,36 @@ def relabel_scan_oracle(algebra, p):
     return None
 
 
+def merge_labels_oracle(label, x, y):
+    """The least-state label vector with the classes of x and y merged."""
+    lo, hi = sorted((label[x], label[y]))
+    return label if lo == hi else [lo if k == hi else k for k in label]
+
+
+def principal_congruence_stack_oracle(columns, a, b):
+    """Least-state labels of the smallest congruence identifying a and b,
+    by one stack run: each merged pair pushes its distinct successor
+    pairs zip(columns[x], columns[y]), which by transitivity is enough
+    (Freese 2008)."""
+    label = tuple(range(len(columns)))
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if label[x] != label[y]:
+            label = tuple(merge_labels_oracle(label, x, y))
+            stack.extend(set(zip(columns[x], columns[y])))
+    return label
+
+
+def join_labels_oracle(l1, l2):
+    """The join of two least-state label vectors, merging one state's
+    class at a time, O(m^2)."""
+    label = l1
+    for x, lead in enumerate(l2):
+        label = merge_labels_oracle(label, x, lead)
+    return tuple(label)
+
+
 def random_local_algebra(rng, m, r=1):
     size = m ** (2 * r + 1)
     return LocalAlgebra(m, r, tuple(rng.randrange(m) for _ in range(size)))

@@ -10,15 +10,16 @@ from casim import ca_core
 from casim.affine_ca import (_bijection_conjugates, _relabeled_table, canonical_additive,
                              to_table)
 from casim.caps import CapExceeded, Caps
-from casim.ca_core import (Congruence, LocalAlgebra, _partition_of_labels,
-                           _principal_congruence, _subalgebra_closure, _translations,
+from casim.ca_core import (Congruence, LocalAlgebra, _join, _partition_of_labels,
+                           _principal_congruences, _subalgebra_closure, _translations,
                            are_isomorphic, canonical_partition,
                            check_translation, decode_word, eca, encode_word,
                            enumerate_congruences, enumerate_subalgebras, evolve, idempotents,
                            iterative_power, outputs_on, pack, permutivity, product,
                            quotient, restrict, singleton, unpack, unravel, wolfram_number)
 from casim.fp_linalg import join_closure
-from conftest import random_local_algebra
+from conftest import (join_labels_oracle, principal_congruence_stack_oracle,
+                      random_local_algebra)
 
 
 def random_lattice_algebra(rng):
@@ -462,21 +463,67 @@ def test_congruences_match_partition_oracle(rng):
                 assert image.apply([block_of[x] for x in nb]) == block_of[algebra.apply(nb)]
 
 
+def translation_columns(algebra):
+    """columns[x]: the images of x under the distinct non-constant basic
+    translations, as enumerate_congruences builds them."""
+    maps = list(dict.fromkeys(t for translations in _translations(algebra)
+                              for t in translations if len(set(t)) > 1))
+    return list(zip(*maps)) or [()] * algebra.m
+
+
 def test_principal_congruences_match_context_scan_oracle(rng):
     for _ in range(20):
         r = rng.randrange(3)
         algebra = random_local_algebra(rng, rng.randrange(2, 7 if r < 2 else 4), r)
         m = algebra.m
-        maps = [t for translations in _translations(algebra) for t in translations
-                if len(set(t)) > 1]
-        columns = list(zip(*maps)) or [()] * m
-        known = {(0,) * m}  # as enumerate_congruences threads it
-        for a in range(m):
-            for b in range(a + 1, m):
-                expected = least_state_labels(principal_congruence_oracle(algebra, a, b))
-                assert _principal_congruence(columns, a, b) == expected
-                assert _principal_congruence(columns, a, b, known) == expected
-                known.add(expected)
+        columns = translation_columns(algebra)
+        pairs = list(itertools.combinations(range(m), 2))
+        assert _principal_congruences(columns) == \
+            [least_state_labels(principal_congruence_oracle(algebra, a, b)) for a, b in pairs] == \
+            [principal_congruence_stack_oracle(columns, a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("number", [110, 150])
+def test_principal_congruences_match_stack_oracle_on_five_blocks(number):
+    """B^[5], 32 states: 496 pairs, whose graph has long cycles."""
+    columns = translation_columns(iterative_power(eca(number), 5))
+    assert _principal_congruences(columns) == [
+        principal_congruence_stack_oracle(columns, a, b)
+        for a, b in itertools.combinations(range(32), 2)]
+
+
+class _CountingColumns(list):
+    def __init__(self, columns):
+        super().__init__(columns)
+        self.reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_principal_congruences_read_each_pair_column_four_times():
+    """Two reads per pair to walk the pair graph and two to label its
+    component, however many principal runs would reach it."""
+    b2 = iterative_power(eca(30), 2)
+    columns = _CountingColumns(translation_columns(product([b2, b2])))
+    m = len(columns)
+    principals = _principal_congruences(columns)
+    assert len(principals) == m * (m - 1) // 2
+    assert columns.reads <= 4 * (m * (m - 1) // 2)
+
+
+def test_union_find_join_matches_label_merge_oracle(rng):
+    for m in range(1, 13):
+        discrete, full = tuple(range(m)), (0,) * m
+        randoms = []
+        for _ in range(6):
+            label = [rng.randrange(m) for _ in range(m)]
+            randoms.append(least_state_labels(_partition_of_labels(label)))
+        vectors = [discrete, full] + randoms
+        for l1 in vectors:
+            for l2 in vectors + [l1]:
+                assert _join(l1, l2) == join_labels_oracle(l1, l2)
 
 
 @pytest.mark.parametrize("number", [30, 110, 150])
