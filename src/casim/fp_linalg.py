@@ -19,6 +19,7 @@ line unless the test proves the maps simple.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
@@ -339,23 +340,46 @@ def join_closure(bottom: Member, generators: Iterable[Member],
     the generators alone reaches all of them (Freese, "Computing
     congruences efficiently", Algebra Universalis 59, 2008).  Raises
     CapExceeded, "`what` exceeds `limit` members", past `limit` members.
+
+    `join` must be a semilattice join: associative, commutative and
+    idempotent.  Then a join is read off the table of joins already made
+    wherever the table holds it, and computed only where it does not.
+    Member x_i was first reached as x_p v g_k0 for some p < i, whose row
+    is complete, so x_i v g_k = (x_p v g_k) v g_k0 = x_j v g_k0 with
+    x_j = x_p v g_k: that is x_i when j = i, and is in row j when j < i;
+    only when j > i, or x_i has no such parent, is `join` called.  Every
+    member still meets every generator in the same order, so the
+    members, their order and the cap's raise point are those of joining
+    them all.
     """
     members = [bottom]
-    seen = {bottom}
-    gens = []
+    index = {bottom: 0}
     for gen in generators:
-        if gen not in seen:
-            seen.add(gen)
-            gens.append(gen)
-    members.extend(gens)
+        if gen not in index:
+            index[gen] = len(members)
+            members.append(gen)
+    gens = members[1:]
+    width = len(gens)
     require(len(members) <= limit, f"{what} exceeds {limit} members")
-    for current in members:  # grows while iterated: breadth first
-        for gen in gens:
-            joined = join(current, gen)
-            if joined not in seen:
-                require(len(members) < limit, f"{what} exceeds {limit} members")
-                seen.add(joined)
-                members.append(joined)
+    joins = array("i")  # joins[i * width + k]: the index of members[i] v gens[k]
+    parent: dict[int, tuple[int, int]] = {}  # j: the first (p, k0), p < j, reaching j
+    for i, current in enumerate(members):  # grows while iterated: breadth first
+        p, k0 = parent.get(i, (-1, 0))
+        for k, gen in enumerate(gens):
+            # j: the index of x_p v g_k; past i (no row yet) when x_i has no parent
+            j = joins[p * width + k] if p >= 0 else len(members)
+            if j < i:
+                j = joins[j * width + k0]
+            elif j > i:
+                joined = join(current, gen)
+                j = index.get(joined, -1)
+                if j < 0:
+                    require(len(members) < limit, f"{what} exceeds {limit} members")
+                    j = index[joined] = len(members)
+                    members.append(joined)
+            if j > i:
+                parent.setdefault(j, (i, k))
+            joins.append(j)
     return members
 
 

@@ -6,7 +6,7 @@ import pytest
 from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, _bijection_conjugates,
                              _relabeled_table, classify_affine, e0_evolution, fit_affine,
                              quotient_affine, subalgebra_affine, to_table)
-from casim.caps import DEFAULT_CAPS
+from casim.caps import DEFAULT_CAPS, require
 from casim.ca_core import (Congruence, LocalAlgebra, decode_word, encode_word, iterative_power,
                            product)
 from casim.fp_linalg import FpMatrix, Subspace, invariant_closure, is_prime
@@ -218,6 +218,29 @@ def relabel_scan_oracle(algebra, p):
     return None
 
 
+def join_closure_oracle(bottom, generators, join, limit, what):
+    """`fp_linalg.join_closure` by joining every member with every
+    distinct generator, in breadth-first discovery order, with the same
+    CapExceeded past `limit` members."""
+    members = [bottom]
+    seen = {bottom}
+    gens = []
+    for gen in generators:
+        if gen not in seen:
+            seen.add(gen)
+            gens.append(gen)
+    members.extend(gens)
+    require(len(members) <= limit, f"{what} exceeds {limit} members")
+    for current in members:  # grows while iterated: breadth first
+        for gen in gens:
+            joined = join(current, gen)
+            if joined not in seen:
+                require(len(members) < limit, f"{what} exceeds {limit} members")
+                seen.add(joined)
+                members.append(joined)
+    return members
+
+
 def merge_labels_oracle(label, x, y):
     """The least-state label vector with the classes of x and y merged."""
     lo, hi = sorted((label[x], label[y]))
@@ -251,6 +274,13 @@ def join_labels_oracle(l1, l2):
 def random_local_algebra(rng, m, r=1):
     size = m ** (2 * r + 1)
     return LocalAlgebra(m, r, tuple(rng.randrange(m) for _ in range(size)))
+
+
+def low_image_algebra(rng, m, r):
+    """Random rule whose outputs fall in two or three states, so most
+    joins of one-generated carriers land on a carrier already found."""
+    image = rng.sample(range(m), rng.randrange(2, 4))
+    return LocalAlgebra(m, r, tuple(rng.choice(image) for _ in range(m ** (2 * r + 1))))
 
 
 def random_affine_f2(rng, d=2, require_witnesses=True):

@@ -17,9 +17,8 @@ from casim.ca_core import (Congruence, LocalAlgebra, _join, _partition_of_labels
                            enumerate_congruences, enumerate_subalgebras, evolve, idempotents,
                            iterative_power, outputs_on, pack, permutivity, product,
                            quotient, restrict, singleton, unpack, unravel, wolfram_number)
-from casim.fp_linalg import join_closure
-from conftest import (join_labels_oracle, principal_congruence_stack_oracle,
-                      random_local_algebra)
+from conftest import (join_closure_oracle, join_labels_oracle, low_image_algebra,
+                      principal_congruence_stack_oracle, random_local_algebra)
 
 
 def random_lattice_algebra(rng):
@@ -111,8 +110,8 @@ def congruences_union_find_oracle(algebra):
         return _partition_of_labels(uf.labels())
 
     principals = [principal(a, b) for a in range(m) for b in range(a + 1, m)]
-    found = join_closure(tuple((x,) for x in range(m)), principals, join,
-                         Caps().lattice_cap, "congruence lattice")
+    found = join_closure_oracle(tuple((x,) for x in range(m)), principals, join,
+                                Caps().lattice_cap, "congruence lattice")
     return sorted(found, key=lambda part: (-len(part), part))
 
 
@@ -373,13 +372,6 @@ def test_subalgebras_match_frontier_oracle_on_eca_products(number):
     b2 = iterative_power(b, 2)
     for algebra in (b2, product([b, b2]), product([b2, b2])):
         assert enumerate_subalgebras(algebra) == subalgebras_frontier_oracle(algebra)
-
-
-def low_image_algebra(rng, m, r):
-    """Random rule whose outputs fall in two or three states, so most
-    joins of one-generated carriers land on a carrier already found."""
-    image = rng.sample(range(m), rng.randrange(2, 4))
-    return LocalAlgebra(m, r, tuple(rng.choice(image) for _ in range(m ** (2 * r + 1))))
 
 
 def test_subalgebras_match_frontier_oracle_where_joins_reach_known_carriers(rng):

@@ -1,17 +1,23 @@
 import itertools
+import operator
 import random
+from array import array
 
 import pytest
 
 from casim.affine_ca import canonical_additive, component_matrices
-from casim.ca_core import LocalAlgebra, enumerate_congruences, enumerate_subalgebras
+from casim import ca_core
+from casim.ca_core import (LocalAlgebra, eca, enumerate_congruences, enumerate_subalgebras,
+                           iterative_power, product)
 from casim.caps import CapExceeded, Caps
 from casim import fp_linalg
 from casim.fp_linalg import (FpMatrix, Subspace, _check_maps, common_invariant_subspaces,
                              invariant_closure, is_invariant, is_prime, is_simple,
-                             nullspace_basis, one_dim_representatives, rref, solve)
+                             join_closure, nullspace_basis, one_dim_representatives, rref,
+                             solve)
 from conftest import (all_canonical_rules, all_subspaces, invariant_closure_fixpoint_oracle,
-                      is_simple_scan_oracle, one_dim_filter_oracle, rref_gauss_jordan_oracle)
+                      is_simple_scan_oracle, join_closure_oracle, low_image_algebra,
+                      one_dim_filter_oracle, rref_gauss_jordan_oracle)
 
 
 def random_matrix(rng, p, rows, cols):
@@ -407,6 +413,94 @@ def test_join_closure_lattice_cap(enumerate_lattice, size, what):
     with pytest.raises(CapExceeded, match=f"^{what} exceeds {size - 1} members$"):
         enumerate_lattice(Caps(lattice_cap=size - 1))
     assert len(enumerate_lattice(Caps(lattice_cap=size))) == size
+
+
+def test_join_closure_matches_plain_loop_oracle(monkeypatch):
+    tables = []
+
+    def recorded_array(typecode):
+        tables.append(array(typecode))
+        return tables[-1]
+
+    monkeypatch.setattr(fp_linalg, "array", recorded_array)
+    closures = []
+
+    def checked(bottom, generators, join, limit, what):
+        """`join_closure`, checked to return the oracle's members in the
+        oracle's order, to hold the oracle's joins in its table, and to
+        raise the oracle's CapExceeded one member short of the lattice.
+        The table is checked on its own because a wrong entry below its
+        row changes no member."""
+        closures.append(what)
+        generators = list(generators)
+        members = join_closure(bottom, generators, join, limit, what)
+        table = tables[-1]
+        joins = []  # the oracle joins every member with every generator, row by row
+
+        def recorded(a, b):
+            joins.append(join(a, b))
+            return joins[-1]
+
+        assert members == join_closure_oracle(bottom, generators, recorded, limit, what)
+        index = {member: i for i, member in enumerate(members)}
+        assert list(table) == [index[joined] for joined in joins]
+        messages = []
+        for closure in (join_closure, join_closure_oracle):
+            with pytest.raises(CapExceeded) as raised:
+                closure(bottom, generators, join, len(members) - 1, what)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1] == f"{what} exceeds {len(members) - 1} members"
+        return members
+
+    rng = random.Random(20240809)
+    for _ in range(30):  # bitmask OR: a semilattice with no structure of its own
+        bits = rng.randrange(3, 11)
+        generators = [rng.randrange(1 << bits) for _ in range(rng.randrange(1, 9))]
+        generators += rng.sample(generators, rng.randrange(len(generators)))  # repeats
+        checked(rng.choice([0, generators[0]]), generators, operator.or_, 1 << bits,
+                "bitmask lattice")
+    monkeypatch.setattr(ca_core, "join_closure", checked)
+    monkeypatch.setattr(fp_linalg, "join_closure", checked)
+    algebras = [low_image_algebra(rng, rng.randrange(5, 9), rng.randrange(2))
+                for _ in range(20)]
+    for number in (30, 60, 150):
+        b2 = iterative_power(eca(number), 2)
+        algebras.append(product([b2, b2]))
+    for algebra in algebras:
+        caps = Caps().scaled_to(algebra.m)
+        enumerate_subalgebras(algebra, caps)
+        enumerate_congruences(algebra, caps)
+    maps_list = [component_matrices(canonical_additive(5, [0, 1, 0]), 3)]
+    for p, sizes in ((2, (2, 3, 4)), (3, (2, 3)), (5, (2,))):
+        for rule in all_canonical_rules(p):
+            maps_list += [component_matrices(rule, n) for n in sizes]
+    for maps in maps_list:
+        common_invariant_subspaces(maps)
+    assert closures.count("bitmask lattice") == 30
+    assert closures.count("subalgebra lattice") == closures.count("congruence lattice") == 23
+    assert closures.count("invariant-subspace lattice") == len(maps_list)
+
+
+def test_join_closure_reads_most_joins_off_its_table(monkeypatch):
+    calls = []
+
+    def counting(bottom, generators, join, limit, what):
+        def counted(a, b):
+            calls.append(what)
+            return join(a, b)
+        return join_closure(bottom, generators, counted, limit, what)
+
+    monkeypatch.setattr(ca_core, "join_closure", counting)
+    monkeypatch.setattr(fp_linalg, "join_closure", counting)
+    b2 = iterative_power(eca(150), 2)
+    assert len(enumerate_subalgebras(product([b2, b2]))) == 307
+    # joining each of the 307 members with each of 15 generators: 4,605
+    assert len(calls) <= 2_303
+    calls.clear()
+    maps = component_matrices(canonical_additive(5, [0, 1, 0]), 3)
+    assert len(common_invariant_subspaces(maps)) == 64
+    # joining each of the 64 members with each of 31 line closures: 1,984
+    assert len(calls) <= 992
 
 
 def test_solve_and_nullspace():
