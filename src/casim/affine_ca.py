@@ -185,7 +185,7 @@ def _affine_outputs(algebra: AffineAlgebra, vectors: Sequence[Vector]) -> list[i
             for digit in algebra.decode_state(s):
                 shifted = [v * p + (digit + j) % p for v in shifted for j in range(p)]
             added[s] = [shifted[x] for x in images]
-        sums = [t for s in sums for t in added[s]]
+        sums = list(itertools.chain.from_iterable(map(added.__getitem__, sums)))
     return sums
 
 
@@ -225,7 +225,8 @@ def fit_affine(algebra: LocalAlgebra, p: int) -> AffineAlgebra | None:
             cols.append(tuple((x - c) % p for x, c in zip(image, constant)))
         components.append(FpMatrix(p, d, d, tuple(zip(*cols))))
     candidate = AffineAlgebra(p, d, algebra.r, tuple(components), constant)
-    if to_table(candidate).table != algebra.table:
+    vectors = [candidate.decode_state(v) for v in range(m)]
+    if tuple(_affine_outputs(candidate, vectors)) != algebra.table:
         return None
     return candidate
 
@@ -297,11 +298,6 @@ class CoefficientProfile:
     def reach(self) -> int:
         """nr: the largest tracked offset."""
         return len(self.values) // 2
-
-    def value_at(self, k: int) -> int:
-        if abs(k) > self.reach:
-            return 0
-        return self.values[k + self.reach]
 
 
 def e0_evolution(rule: CanonicalAdditive, n: int,

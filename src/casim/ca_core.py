@@ -16,8 +16,10 @@ expansion.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Iterator, Sequence
@@ -61,13 +63,6 @@ def unpack(word: Sequence[int], n: int, m: int) -> Word:
     return tuple(out)
 
 
-def pack(word: Sequence[int], n: int, m: int) -> Word:
-    """Inverse of unpack: group runs of n cells into block-encoded states."""
-    if len(word) % n != 0:
-        raise ValueError("word length is not a multiple of the block size")
-    return tuple(encode_word(word[i:i + n], m) for i in range(0, len(word), n))
-
-
 @dataclass(frozen=True)
 class LocalAlgebra:
     """A CA local rule of radius r on m states, as an explicit table."""
@@ -84,9 +79,10 @@ class LocalAlgebra:
         expected = self.m ** self.arity
         if len(self.table) != expected:
             raise ValueError(f"table length {len(self.table)} != m^(2r+1) = {expected}")
-        for out in self.table:
-            if not 0 <= out < self.m:
-                raise ValueError(f"table output {out} out of range")
+        if not frozenset(range(self.m)).issuperset(self.table):
+            for out in self.table:  # name the first output out of range
+                if not 0 <= out < self.m:
+                    raise ValueError(f"table output {out} out of range")
 
     @property
     def arity(self) -> int:
@@ -116,13 +112,23 @@ def outputs_on(algebra: LocalAlgebra, states: Sequence[int]) -> list[int]:
     v in base len(states), leftmost digit most significant; the states
     may repeat.  This is the one table-evaluation kernel that products,
     restrictions, quotients and relabelings are built on.
+
+    The index prefixes over the first arity - 1 positions are built in
+    Python, times m, as the starts of their rows of m table entries;
+    the last position is read off each row by one itemgetter over the
+    states, so the innermost loop runs in C.
     """
-    m = algebra.m
-    idx = [0]
-    for _ in range(algebra.arity):
-        idx = [i * m + s for i in idx for s in states]
-    table = algebra.table
-    return [table[i] for i in idx]
+    if len(states) < 2:  # itemgetter needs an index, and returns one bare value for one
+        return [algebra.apply([s] * algebra.arity) for s in states]
+    m, table = algebra.m, algebra.table
+    starts = [0]
+    for _ in range(algebra.arity - 1):
+        starts = [(i + s) * m for i in starts for s in states]
+    last = operator.itemgetter(*states)
+    outputs: list[int] = []
+    for i in starts:
+        outputs.extend(last(table[i:i + m]))
+    return outputs
 
 
 def eca(number: int) -> LocalAlgebra:
@@ -130,12 +136,6 @@ def eca(number: int) -> LocalAlgebra:
     if not 0 <= number <= 255:
         raise ValueError("ECA numbers range over 0..255")
     return LocalAlgebra(2, 1, tuple((number >> v) & 1 for v in range(8)))
-
-
-def wolfram_number(algebra: LocalAlgebra) -> int:
-    if algebra.m != 2 or algebra.r != 1:
-        raise ValueError("Wolfram numbering applies to 2-state radius-1 rules")
-    return sum(bit << v for v, bit in enumerate(algebra.table))
 
 
 def singleton(r: int) -> LocalAlgebra:
@@ -180,15 +180,23 @@ def _pass_luts(algebra: LocalAlgebra, length: int) -> Iterator[list[int]]:
     k = 2r+1, ..., length in turn.
 
     Grown one cell at a time from the rule's own table: the pass image
-    of a word is the image of the word without its last cell followed
-    by the rule on its last window.
+    of a word is the rule on its first window followed by the image of
+    the word without its first cell.  The words that share their first
+    window c form one run of m^(k-2r-1) entries, which is f(c) in the
+    leading output cell added to a run of the shorter table, so each
+    run is one map in C.
     """
     m, table = algebra.m, algebra.table
-    window = len(table)
+    contexts = len(table) // m  # the last 2r cells of a first window
     lut = list(table)
     yield lut
     for k in range(algebra.arity + 1, length + 1):
-        lut = [lut[v // m] * m + table[v % window] for v in range(m ** k)]
+        run = m ** (k - algebra.arity)  # also the weight of the leading output cell
+        grown: list[int] = []
+        for c, first in enumerate(table):
+            start = c % contexts * run
+            grown.extend(map((first * run).__add__, lut[start:start + run]))
+        lut = grown
         yield lut
 
 
@@ -217,7 +225,7 @@ def iterative_power(algebra: LocalAlgebra, n: int, caps: Caps = DEFAULT_CAPS) ->
     table: Sequence[int] = range(m ** n)  # no pass yet: the identity on blocks
     for k, lut in enumerate(_pass_luts(algebra, length), algebra.arity):
         for _ in range(lengths.count(k)):
-            table = [table[w] for w in lut]
+            table = list(map(table.__getitem__, lut))
     return LocalAlgebra(m ** n, r, tuple(table))
 
 
@@ -241,7 +249,7 @@ def product(algebras: Sequence[LocalAlgebra], caps: Caps = DEFAULT_CAPS) -> Loca
     for a in algebras:
         place //= a.m
         digits = [(v // place) % a.m for v in range(m_total)]
-        table = [v * a.m + out for v, out in zip(table, outputs_on(a, digits))]
+        table = list(map(operator.add, map(a.m.__mul__, table), outputs_on(a, digits)))
     return LocalAlgebra(m_total, r, tuple(table))
 
 
@@ -654,18 +662,17 @@ def idempotents(algebra: LocalAlgebra) -> list[int]:
     return [s for s, image in enumerate(_diagonal(algebra)) if image == s]
 
 
-def _diagonal_signature(algebra: LocalAlgebra) -> list[tuple]:
+@functools.lru_cache(maxsize=8)
+def _diagonal_signature(algebra: LocalAlgebra) -> tuple[tuple[int, int, int, int], ...]:
     """Relabeling-invariant unary fingerprint per state, used to prune
     isomorphism search: orbit shape under s -> f(s,...,s), in-degree of
-    the diagonal map, and how often the state occurs as an output."""
+    the diagonal map, and how often the state occurs as an output.
+    Cached for the last eight algebras, since a fingerprint check and
+    the isomorphism search after it both read both sides' signatures."""
     m = algebra.m
     diag = _diagonal(algebra)
-    indeg = [0] * m
-    for t in diag:
-        indeg[t] += 1
-    occurrences = [0] * m
-    for out in algebra.table:
-        occurrences[out] += 1
+    indeg = collections.Counter(diag)
+    occurrences = collections.Counter(algebra.table)
     signatures = []
     for s in range(m):
         seen = {s: 0}
@@ -677,7 +684,7 @@ def _diagonal_signature(algebra: LocalAlgebra) -> list[tuple]:
                 break
             seen[x] = len(seen)
         signatures.append((tail, cycle, indeg[s], occurrences[s]))
-    return signatures
+    return tuple(signatures)
 
 
 def algebra_fingerprint(algebra: LocalAlgebra) -> tuple:

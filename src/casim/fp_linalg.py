@@ -269,9 +269,6 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient
 
-    def is_trivial(self) -> bool:
-        return self.is_zero() or self.is_full()
-
     def reduce(self, vec: Sequence[int]) -> Vector:
         """Canonical representative of the coset vec + self: the pivot
         entries eliminated against the RREF basis.  Two vectors reduce
@@ -485,10 +482,6 @@ def is_simple(maps: Sequence[FpMatrix], *, caps: Caps = DEFAULT_CAPS) -> bool:
     if answer is None:
         return all(space.is_full() for space in closures)
     return answer
-
-
-def is_invariant(space: Subspace, maps: Sequence[FpMatrix]) -> bool:
-    return all(space.contains(m.apply(v)) for m in maps for v in space.basis)
 
 
 def solve(matrix: FpMatrix, rhs: Sequence[int]) -> Vector | None:

@@ -398,10 +398,6 @@ class CanonicalClass:
     doubly_bijective: bool
     caveat: str | None
 
-    @property
-    def exact_decision(self) -> bool:  # simulates decides these rules exactly
-        return self.doubly_bijective
-
     def describe(self) -> str:
         if self.kind == "constant":
             return "constant mappings class"

@@ -8,7 +8,7 @@ from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, _bijection_conjug
                              quotient_affine, subalgebra_affine, to_table)
 from casim.caps import DEFAULT_CAPS, require
 from casim.ca_core import (Congruence, LocalAlgebra, decode_word, encode_word, iterative_power,
-                           product)
+                           product, unravel, unpack)
 from casim.fp_linalg import FpMatrix, Subspace, invariant_closure, is_prime
 
 
@@ -36,13 +36,72 @@ def doubly_bijective_rules(p, r=1):
             yield rule
 
 
+def pack(word, n, m):
+    """Inverse of unpack: group runs of n cells into block-encoded states."""
+    if len(word) % n != 0:
+        raise ValueError("word length is not a multiple of the block size")
+    return tuple(encode_word(word[i:i + n], m) for i in range(0, len(word), n))
+
+
+def wolfram_number(algebra):
+    if algebra.m != 2 or algebra.r != 1:
+        raise ValueError("Wolfram numbering applies to 2-state radius-1 rules")
+    return sum(bit << v for v, bit in enumerate(algebra.table))
+
+
+def is_invariant(space, maps):
+    return all(space.contains(m.apply(v)) for m in maps for v in space.basis)
+
+
+def is_trivial(space):
+    return space.is_zero() or space.is_full()
+
+
+def profile_value_at(profile, k):
+    """F^n(e^0)_k of a seed profile, 0 outside positions -nr..nr."""
+    if abs(k) > profile.reach:
+        return 0
+    return profile.values[k + profile.reach]
+
+
+def outputs_on_oracle(algebra, states):
+    """`ca_core.outputs_on` as one comprehension per position: the index
+    of every neighborhood over `states`, then one table lookup each."""
+    m = algebra.m
+    idx = [0]
+    for _ in range(algebra.arity):
+        idx = [i * m + s for i in idx for s in states]
+    table = algebra.table
+    return [table[i] for i in idx]
+
+
+def product_componentwise_oracle(factors):
+    """The product table built neighborhood by neighborhood: each factor
+    applied to its own mixed-radix digit of every cell, leftmost factor
+    most significant."""
+    states = list(itertools.product(*(range(a.m) for a in factors)))
+    code = {state: v for v, state in enumerate(states)}
+    return tuple(code[tuple(a.apply([states[x][t] for x in nb]) for t, a in enumerate(factors))]
+                 for nb in itertools.product(range(len(states)), repeat=factors[0].arity))
+
+
+def iterative_power_unravel_oracle(algebra, n):
+    """The n-th power's table built block neighborhood by block
+    neighborhood: unpack the 2r+1 blocks into cells, unravel n times and
+    encode the n cells left."""
+    m = algebra.m
+    return tuple(encode_word(unravel(algebra, unpack(nb, n, m), n), m)
+                 for nb in itertools.product(range(m ** n), repeat=algebra.arity))
+
+
 def component_matrices_oracle(rule, n):
     """Component matrices of the n-th power built entry by entry: the
     block for position i has entry c_{-i*n + (row - col)} of the seed
     evolution."""
     profile = e0_evolution(rule, n)
     return [FpMatrix(rule.p, n, n, tuple(
-                tuple(profile.value_at(-i * n + t - j) for j in range(n)) for t in range(n)))
+                tuple(profile_value_at(profile, -i * n + t - j) for j in range(n))
+                for t in range(n)))
             for i in range(-rule.r, rule.r + 1)]
 
 

@@ -13,13 +13,14 @@ from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, affine_isomorphis
                              subalgebra_affine, to_table, verify_splitting,
                              _affine_outputs, _bijection_conjugates, _relabeled_table,
                              _verify_coset_embedding)
-from casim.ca_core import (Congruence, are_isomorphic, eca, enumerate_congruences,
+from casim.ca_core import (Congruence, LocalAlgebra, are_isomorphic, eca, enumerate_congruences,
                            enumerate_subalgebras, evolve, iterative_power, product, quotient)
 from casim.caps import DEFAULT_CAPS, CapExceeded, Caps
-from casim.fp_linalg import FpMatrix, Subspace, common_invariant_subspaces, is_invariant
+from casim.fp_linalg import FpMatrix, Subspace, common_invariant_subspaces
 from conftest import (all_canonical_rules, apply_vectors_oracle, coset_congruence_oracle,
-                      component_matrices_oracle, doubly_bijective_rules, random_affine_f2,
-                      random_local_algebra, relabel_scan_oracle)
+                      component_matrices_oracle, doubly_bijective_rules, is_invariant,
+                      profile_value_at, random_affine_f2, random_local_algebra,
+                      relabel_scan_oracle)
 
 
 def test_to_table_eca_cases():
@@ -58,6 +59,20 @@ def test_to_table_matches_apply_vectors_oracle():
             assert _affine_outputs(algebra, vectors) == _outputs_oracle(algebra, vectors)
 
 
+def test_affine_outputs_match_oracle_on_decide_tables():
+    """The affine evaluator on the largest tables the decide benchmark
+    fits: F_3 (2,1,1)'s B^[2] x B^[1] (27 states) and ECA 150's B^[5]
+    (32 states), against the neighborhood-by-neighborhood oracle and the
+    truth tables of the powers."""
+    rule = to_table(canonical_additive(3, [2, 1, 1]))
+    for table, p in ((product([iterative_power(rule, 2), rule]), 3),
+                     (iterative_power(eca(150), 5), 2)):
+        algebra = fit_affine(table, p)
+        states = [algebra.decode_state(v) for v in range(algebra.m)]
+        assert _affine_outputs(algebra, states) == _outputs_oracle(algebra, states)
+        assert to_table(algebra) == table
+
+
 def test_to_table_canonical_additive_sums():
     rng = random.Random(8)
     for p, r in itertools.product((2, 3, 5), range(3)):
@@ -86,6 +101,23 @@ def test_fit_affine_examples():
     from casim.ca_core import LocalAlgebra
     with pytest.raises(ValueError):
         fit_affine(LocalAlgebra(6, 0, tuple(range(6))), 2)
+
+
+def test_fit_affine_on_canonical_rules_and_their_squares():
+    """fit_affine checks its candidate against the whole table: it must
+    return the rule's own affine form on every radius-1 canonical rule
+    over F_2, F_3 and F_5 and on its B^[2], and None once the last
+    entry, which no probe reads, is changed."""
+    for p in (2, 3, 5):
+        for rule in all_canonical_rules(p):
+            table = to_table(rule)
+            square = AffineAlgebra(p, 2, 1, tuple(component_matrices(rule, 2)), (0, 0))
+            for algebra, expected in ((table, rule.as_affine()),
+                                      (iterative_power(table, 2), square)):
+                assert fit_affine(algebra, p) == expected
+                last = (algebra.table[-1] + 1) % algebra.m
+                changed = LocalAlgebra(algebra.m, algebra.r, algebra.table[:-1] + (last,))
+                assert fit_affine(changed, p) is None
 
 
 def test_fit_canonical_additive(z4_rule):
@@ -142,7 +174,7 @@ def test_e0_evolution_known_rows():
 def test_e0_evolution_single_step_reverses_coefficients():
     rule = canonical_additive(5, [2, 3, 4])
     profile = e0_evolution(rule, 1)
-    assert profile.value_at(-1) == 4 and profile.value_at(0) == 3 and profile.value_at(1) == 2
+    assert [profile_value_at(profile, k) for k in (-1, 0, 1)] == [4, 3, 2]
 
 
 def test_e0_evolution_frobenius_spacing():
@@ -160,9 +192,9 @@ def test_e0_evolution_convolves(rng):
             combined = e0_evolution(rule, a + b)
             for k in range(-combined.reach, combined.reach + 1):
                 convolution = sum(
-                    left.value_at(i) * right.value_at(k - i)
+                    profile_value_at(left, i) * profile_value_at(right, k - i)
                     for i in range(-left.reach, left.reach + 1)) % p
-                assert combined.value_at(k) == convolution
+                assert profile_value_at(combined, k) == convolution
 
 
 def test_component_matrices_known_values():
@@ -278,7 +310,7 @@ def test_first_rows_spell_reflected_profile():
     profile = e0_evolution(rule, n)
     mats = component_matrices(rule, n)
     first = [x for mat in mats for x in mat.entries[0]]
-    reflected = [profile.value_at(-k) for k in range(-n, 2 * n)]
+    reflected = [profile_value_at(profile, -k) for k in range(-n, 2 * n)]
     assert first == reflected
 
 

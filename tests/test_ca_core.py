@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import time
 from pathlib import Path
 
@@ -15,10 +16,12 @@ from casim.ca_core import (Congruence, LocalAlgebra, _join, _partition_of_labels
                            are_isomorphic, canonical_partition,
                            check_translation, decode_word, eca, encode_word,
                            enumerate_congruences, enumerate_subalgebras, evolve, idempotents,
-                           iterative_power, outputs_on, pack, permutivity, product,
-                           quotient, restrict, singleton, unpack, unravel, wolfram_number)
-from conftest import (join_closure_oracle, join_labels_oracle, low_image_algebra,
-                      principal_congruence_stack_oracle, random_local_algebra)
+                           iterative_power, outputs_on, permutivity, product,
+                           quotient, restrict, singleton, unpack, unravel)
+from conftest import (iterative_power_unravel_oracle, join_closure_oracle, join_labels_oracle,
+                      low_image_algebra, outputs_on_oracle, pack,
+                      principal_congruence_stack_oracle, product_componentwise_oracle,
+                      random_local_algebra, wolfram_number)
 
 
 def random_lattice_algebra(rng):
@@ -143,8 +146,14 @@ def test_wolfram_convention():
 def test_table_validation():
     with pytest.raises(ValueError):
         LocalAlgebra(2, 1, (0,) * 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^table output 2 out of range$"):
         LocalAlgebra(2, 1, (0,) * 7 + (2,))
+    # one output too large and one negative: whichever comes first in
+    # table order is named
+    with pytest.raises(ValueError, match=r"^table output 5 out of range$"):
+        LocalAlgebra(3, 0, (0, 5, -1))
+    with pytest.raises(ValueError, match=r"^table output -1 out of range$"):
+        LocalAlgebra(3, 0, (-1, 2, 5))
 
 
 def test_encodings_roundtrip():
@@ -190,10 +199,7 @@ def test_iterative_power_matches_blockwise_unravel(rng):
             algebra = random_local_algebra(rng, m, r)
             power = iterative_power(algebra, n)
             assert power.m == m ** n and power.r == r
-            for nb in itertools.product(range(m ** n), repeat=2 * r + 1):
-                cells = unpack(nb, n, m)
-                expected = encode_word(unravel(algebra, cells, n), m)
-                assert power.apply(nb) == expected
+            assert power.table == iterative_power_unravel_oracle(algebra, n)
 
 
 def test_iterative_power_frobenius_split():
@@ -242,15 +248,45 @@ def test_product_matches_componentwise_oracle(rng):
         r = rng.randrange(0, 2)
         factors = [random_local_algebra(rng, rng.randrange(1, 4), r)
                    for _ in range(rng.randrange(2, 4))]
-        sizes = [a.m for a in factors]
         combined = product(factors)
-        states = list(itertools.product(*(range(s) for s in sizes)))
-        assert combined.m == len(states)
-        for nb in itertools.product(range(len(states)), repeat=2 * r + 1):
-            parts = [states[x] for x in nb]
-            expected = tuple(a.apply([part[t] for part in parts])
-                             for t, a in enumerate(factors))
-            assert states[combined.apply(nb)] == expected
+        assert combined.m == math.prod(a.m for a in factors)
+        assert combined.table == product_componentwise_oracle(factors)
+
+
+# the F_3 rules whose B^[2] x B^[1] (27 states, 19,683 entries) the decide
+# benchmark relabels, and ECA 150's B^[5] (32 states, 32,768 entries)
+DECIDE_F3_RULES = ((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1))
+
+
+def test_outputs_on_matches_oracle(rng):
+    """The itemgetter kernel against the comprehension it replaced, on
+    seeded random algebras, with state lists that repeat states, hold
+    one state or are empty, as lists and as tuples."""
+    for m, r in itertools.product(range(1, 13), range(3)):
+        algebra = random_local_algebra(rng, m, r)
+        longest = max(k for k in range(1, 2 * m + 3) if k ** algebra.arity <= 4096)
+        picks = [rng.randrange(m) for _ in range(longest)]
+        lists = [[], [rng.randrange(m)], picks[:1] * 2, picks, list(range(m)),
+                 sorted(set(picks)), picks[::-1] + picks[:1]]
+        for states in lists:
+            for given in (states, tuple(states)):
+                assert outputs_on(algebra, given) == outputs_on_oracle(algebra, states)
+
+
+@pytest.mark.parametrize("coefficients", DECIDE_F3_RULES)
+def test_product_and_power_match_oracles_on_27_state_tables(coefficients):
+    rule = to_table(canonical_additive(3, coefficients))
+    square = iterative_power(rule, 2)
+    assert square.table == iterative_power_unravel_oracle(rule, 2)
+    assert product([square, rule]).table == product_componentwise_oracle([square, rule])
+
+
+def test_product_and_power_match_oracles_on_eca150_decide_tables():
+    rule = eca(150)
+    assert iterative_power(rule, 5).table == iterative_power_unravel_oracle(rule, 5)
+    cube = iterative_power(rule, 3)
+    for factors in ([cube, rule], [rule] * 4):
+        assert product(factors).table == product_componentwise_oracle(factors)
 
 
 def test_evolve_seed_rows_of_2x_y_z():

@@ -336,6 +336,13 @@ def test_cmd_verify_affine_closure(monkeypatch, capsys):
 def test_exit_codes_for_bad_input(monkeypatch, capsys, tmp_path):
     code, _, err = run_cli(["show"], "garbage\n", monkeypatch, capsys)
     assert code == 2 and "casim:" in err
+    # a table output out of range is named with its line
+    text = cli.print_ca(eca(150))
+    assert text.splitlines()[3] == "table 01101001"
+    code, out, err = run_cli(["show"], text.replace("01101001", "01101007"),
+                             monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert err == "casim: line 4: table output 7 out of range\n"
     # 2^(9*3) entries blow the default table cap
     code, _, err = run_cli(["power", "-n", "9"], cli.print_ca(eca(30)),
                            monkeypatch, capsys)

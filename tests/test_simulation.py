@@ -179,7 +179,7 @@ def test_classify_canonical_cases():
     assert record.kind == "projection" and record.coordinate == 1
     record = classify_canonical(canonical_additive(3, [2, 1, 1]))
     assert record.kind == "characterized" and record.doubly_bijective
-    assert record.exact_decision and record.caveat is None
+    assert record.doubly_bijective and record.caveat is None
     record = classify_canonical(canonical_additive(3, [2, 0, 1]))
     assert record.kind == "characterized" and not record.doubly_bijective
     assert record.caveat is not None
