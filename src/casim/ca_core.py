@@ -153,9 +153,10 @@ def unravel(algebra: LocalAlgebra, word: Sequence[int], iterations: int = 1) -> 
         raise ValueError("iteration count must be nonnegative")
     m, r = algebra.m, algebra.r
     word = tuple(word)
-    for x in word:
-        if not 0 <= x < m:
-            raise ValueError(f"state {x} out of range for m={m}")
+    if not all(map(range(m).__contains__, set(word))):
+        for x in word:  # name the first state out of range
+            if not 0 <= x < m:
+                raise ValueError(f"state {x} out of range for m={m}")
     if len(word) < 2 * iterations * r + 1:
         raise ValueError(
             f"word of length {len(word)} too short for {iterations} passes of radius {r}")
@@ -275,12 +276,14 @@ class SpaceTimeDiagram:
         if len(self.background) != len(self.rows):
             raise ValueError("one background state per row is required")
         width = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != width:
-                raise ValueError("rows must have equal length")
-            for x in row:
-                if not 0 <= x < self.m:
-                    raise ValueError("row entry out of range")
+        if not (all(len(row) == width for row in self.rows)
+                and all(map(range(self.m).__contains__, set().union(*self.rows)))):
+            for row in self.rows:  # name the first bad row or entry
+                if len(row) != width:
+                    raise ValueError("rows must have equal length")
+                for x in row:
+                    if not 0 <= x < self.m:
+                        raise ValueError("row entry out of range")
 
     @property
     def steps(self) -> int:

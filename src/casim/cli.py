@@ -41,12 +41,27 @@ class FormatError(Exception):
 # ---------------------------------------------------------------------------
 # file formats
 
+# One digit codec for every single-character cell: state x is the x-th
+# base-36 digit.  Tables, matrices and diagrams pass through bytes, so a
+# whole row is translated at C speed; every value is already checked to
+# be in range, and below 36, before it gets here.
+_GLYPHS = b"0123456789abcdefghijklmnopqrstuvwxyz"
+_TO_DIGITS = bytes.maketrans(bytes(range(len(_GLYPHS))), _GLYPHS)
+_TO_DOTS = bytes.maketrans(bytes(range(len(_GLYPHS))), b"." + _GLYPHS[1:])
+_FROM_DIGITS = bytes.maketrans(_GLYPHS[:10], bytes(range(10)))
+
+
+def _digits(values: Sequence[int], table: bytes = _TO_DIGITS) -> str:
+    return bytes(values).translate(table).decode("ascii")
+
+
 def print_ca(algebra: LocalAlgebra) -> str:
     lines = ["CA v1", f"states {algebra.m}", f"radius {algebra.r}"]
     if algebra.m <= 10:
-        lines.append("table " + "".join(str(x) for x in algebra.table))
+        lines.append("table " + _digits(algebra.table))
     else:
-        lines.append("table-list " + " ".join(str(x) for x in algebra.table))
+        labels = [str(x) for x in range(algebra.m)]
+        lines.append("table-list " + " ".join(map(labels.__getitem__, algebra.table)))
     return "\n".join(lines) + "\n"
 
 
@@ -57,9 +72,9 @@ def print_affine(algebra: AffineAlgebra) -> str:
     for i in range(-algebra.r, algebra.r + 1):
         lines.append(f"component {i}")
         for row in algebra.component(i).entries:
-            lines.append(" ".join(str(x) for x in row))
+            lines.append(" ".join(map(str, row)))
     lines.append("constant")
-    lines.append(" ".join(str(x) for x in algebra.constant))
+    lines.append(" ".join(map(str, algebra.constant)))
     return "\n".join(lines) + "\n"
 
 
@@ -101,13 +116,17 @@ def parse_ca(text: str) -> LocalAlgebra:
     number, line = reader.next_content()
     parts = line.split()
     if parts[0] == "table" and len(parts) == 2 and m <= 10:
-        try:
-            table = tuple(int(ch) for ch in parts[1])
-        except ValueError:
-            raise FormatError(number, "table digits must be 0-9")
+        digits = parts[1]
+        if digits.isascii() and digits.isdigit():
+            table = tuple(digits.encode("ascii").translate(_FROM_DIGITS))
+        else:
+            try:  # a non-ASCII digit int() reads still parses; anything else is refused
+                table = tuple(int(ch) for ch in digits)
+            except ValueError:
+                raise FormatError(number, "table digits must be 0-9")
     elif parts[0] == "table-list":
         try:
-            table = tuple(int(x) for x in parts[1:])
+            table = tuple(map(int, parts[1:]))
         except ValueError:
             raise FormatError(number, "table-list entries must be integers")
     else:
@@ -213,19 +232,14 @@ def as_canonical(algebra: LocalAlgebra | AffineAlgebra) -> CanonicalAdditive:
 # ---------------------------------------------------------------------------
 # rendering
 
-_GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyz"
-
-
 def render_text(diagram: SpaceTimeDiagram, dots: bool = False) -> str:
-    lines = []
-    for row in diagram.rows:
-        if diagram.m <= len(_GLYPHS):
-            text = "".join(_GLYPHS[x] for x in row)
-            if dots:
-                text = text.replace("0", ".")
-        else:
-            text = " ".join(str(x) for x in row)
-        lines.append(text)
+    """One line per step: a base-36 digit per cell up to 36 states (state
+    0 as '.' with ``dots``), space-separated decimals above that."""
+    if diagram.m <= len(_GLYPHS):
+        table = _TO_DOTS if dots else _TO_DIGITS
+        lines = [_digits(row, table) for row in diagram.rows]
+    else:
+        lines = [" ".join(map(str, row)) for row in diagram.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -233,9 +247,10 @@ def render_pgm(diagram: SpaceTimeDiagram) -> str:
     width = diagram.width
     height = len(diagram.rows)
     scale = diagram.m - 1
+    grays = [str((255 * x) // scale if scale else 0) for x in range(diagram.m)]
     lines = ["P2", f"{width} {height}", "255"]
     for row in diagram.rows:
-        lines.append(" ".join(str((255 * x) // scale if scale else 0) for x in row))
+        lines.append(" ".join(map(grays.__getitem__, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -431,14 +446,14 @@ def _cmd_e0(io: _Io, caps: Caps) -> int:
     rule = as_canonical(io.algebra())
     profile = affine_ca.e0_evolution(rule, io.args.n, caps)
     io.emit(f"positions {-profile.reach}..{profile.reach}\n")
-    io.emit(" ".join(str(x) for x in profile.values) + "\n")
+    io.emit(" ".join(map(str, profile.values)) + "\n")
     return 0
 
 
 def _matrix_lines(mat: FpMatrix) -> list[str]:
     if mat.p <= 10:
-        return ["".join(str(x) for x in row) for row in mat.entries]
-    return [" ".join(str(x) for x in row) for row in mat.entries]
+        return [_digits(row) for row in mat.entries]
+    return [" ".join(map(str, row)) for row in mat.entries]
 
 
 def _cmd_matrices(io: _Io, caps: Caps) -> int:

@@ -97,12 +97,16 @@ class FpMatrix:
             raise ValueError("matrix dimensions must be positive")
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("column count does not match entries")
-            for x in row:
-                if not 0 <= x < self.p:
-                    raise ValueError(f"entry {x} out of range mod {self.p}")
+        # the distinct entries are tested against range(p) itself, which
+        # builds no set of p elements: p is any prime
+        if not (all(len(row) == self.cols for row in self.entries)
+                and all(map(range(self.p).__contains__, set().union(*self.entries)))):
+            for row in self.entries:  # name the first bad row or entry
+                if len(row) != self.cols:
+                    raise ValueError("column count does not match entries")
+                for x in row:
+                    if not 0 <= x < self.p:
+                        raise ValueError(f"entry {x} out of range mod {self.p}")
 
     @staticmethod
     def from_rows(p: int, rows: Sequence[Sequence[int]]) -> "FpMatrix":

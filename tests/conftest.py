@@ -330,6 +330,59 @@ def join_labels_oracle(l1, l2):
     return tuple(label)
 
 
+def print_ca_oracle(algebra):
+    """`cli.print_ca` with one str() per entry: the digits run together
+    up to 10 states, a space-separated table-list above."""
+    lines = ["CA v1", f"states {algebra.m}", f"radius {algebra.r}"]
+    if algebra.m <= 10:
+        lines.append("table " + "".join(str(x) for x in algebra.table))
+    else:
+        lines.append("table-list " + " ".join(str(x) for x in algebra.table))
+    return "\n".join(lines) + "\n"
+
+
+def parse_table_oracle(line):
+    """`cli.parse_ca`'s two table readers, one int() per digit of a
+    'table' line or per entry of a 'table-list' line."""
+    parts = line.split()
+    if parts[0] == "table":
+        return tuple(int(ch) for ch in parts[1])
+    return tuple(int(x) for x in parts[1:])
+
+
+def render_text_oracle(diagram, dots=False):
+    """`cli.render_text` one glyph per cell: base-36 digits up to 36
+    states, 0 replaced by '.' under ``dots``; decimals above."""
+    glyphs = "0123456789abcdefghijklmnopqrstuvwxyz"
+    lines = []
+    for row in diagram.rows:
+        if diagram.m <= len(glyphs):
+            text = "".join(glyphs[x] for x in row)
+            if dots:
+                text = text.replace("0", ".")
+        else:
+            text = " ".join(str(x) for x in row)
+        lines.append(text)
+    return "\n".join(lines) + "\n"
+
+
+def render_pgm_oracle(diagram):
+    """`cli.render_pgm` with one gray level computed per cell."""
+    scale = diagram.m - 1
+    lines = ["P2", f"{diagram.width} {len(diagram.rows)}", "255"]
+    for row in diagram.rows:
+        lines.append(" ".join(str((255 * x) // scale if scale else 0) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def matrix_lines_oracle(mat):
+    """`cli._matrix_lines` one str() per entry: digits run together up to
+    p = 10, space-separated above."""
+    if mat.p <= 10:
+        return ["".join(str(x) for x in row) for row in mat.entries]
+    return [" ".join(str(x) for x in row) for row in mat.entries]
+
+
 def random_local_algebra(rng, m, r=1):
     size = m ** (2 * r + 1)
     return LocalAlgebra(m, r, tuple(rng.randrange(m) for _ in range(size)))

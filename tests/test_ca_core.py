@@ -11,9 +11,9 @@ from casim import ca_core
 from casim.affine_ca import (_bijection_conjugates, _relabeled_table, canonical_additive,
                              to_table)
 from casim.caps import CapExceeded, Caps
-from casim.ca_core import (Congruence, LocalAlgebra, _join, _partition_of_labels,
-                           _principal_congruences, _subalgebra_closure, _translations,
-                           are_isomorphic, canonical_partition,
+from casim.ca_core import (Congruence, LocalAlgebra, SpaceTimeDiagram, _join,
+                           _partition_of_labels, _principal_congruences, _subalgebra_closure,
+                           _translations, are_isomorphic, canonical_partition,
                            check_translation, decode_word, eca, encode_word,
                            enumerate_congruences, enumerate_subalgebras, evolve, idempotents,
                            iterative_power, outputs_on, permutivity, product,
@@ -156,6 +156,20 @@ def test_table_validation():
         LocalAlgebra(3, 0, (-1, 2, 5))
 
 
+def test_diagram_validation():
+    def diagram(*rows):
+        return SpaceTimeDiagram(2, rows, 0, (0,) * len(rows), "background")
+
+    assert diagram((0, 1), (1, 0)).width == 2
+    for rows, message in ((((0, 1), (1, 2)), "row entry out of range"),
+                          (((0, -1), (1, 0)), "row entry out of range"),
+                          # the first bad row in row order is named
+                          (((0, 2), (1,)), "row entry out of range"),
+                          (((0, 1), (1,), (2, 0)), "rows must have equal length")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            diagram(*rows)
+
+
 def test_encodings_roundtrip():
     assert encode_word((1, 0, 2), 3) == 11
     assert decode_word(11, 3, 3) == (1, 0, 2)
@@ -175,6 +189,11 @@ def test_unravel_examples():
     assert unravel(rule211, (0, 0, 1, 0, 0), 2) == (2,)
     with pytest.raises(ValueError):
         unravel(eca(150), (0, 0, 1), 2)
+    # the first state out of range in word order is named
+    with pytest.raises(ValueError, match=r"^state 2 out of range for m=2$"):
+        unravel(eca(110), (0, 2, 3))
+    with pytest.raises(ValueError, match=r"^state -1 out of range for m=2$"):
+        unravel(eca(110), (1, -1, 2))
 
 
 def test_unravel_composes(rng):

@@ -1,7 +1,9 @@
 import hashlib
 import io
+import itertools
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -11,10 +13,13 @@ from pathlib import Path
 import pytest
 
 from casim import cli
-from casim.affine_ca import _relabeled_table, canonical_additive, fit_affine, to_table
-from casim.ca_core import LocalAlgebra, are_isomorphic, eca, iterative_power
+from casim.affine_ca import (_relabeled_table, canonical_additive, component_matrices,
+                             fit_affine, to_table)
+from casim.ca_core import LocalAlgebra, are_isomorphic, eca, evolve, iterative_power
 from casim.caps import Caps
-from conftest import random_local_algebra
+from casim.fp_linalg import FpMatrix
+from conftest import (matrix_lines_oracle, parse_table_oracle, print_ca_oracle,
+                      random_local_algebra, render_pgm_oracle, render_text_oracle)
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -67,6 +72,72 @@ def test_parse_errors_carry_line_numbers():
         assert str(err.value) == f"line {line}: {message}"
     with pytest.raises(cli.FormatError):
         cli.parse_algebra("HELLO\n")
+
+
+def test_print_and_parse_ca_match_oracles(rng):
+    """The digit codec and the label lookups against one str() or int()
+    per entry, on seeded random algebras on both sides of the 10-state
+    switch, round-tripped through parse_ca in both table forms."""
+    for m, r in itertools.product(range(1, 13), range(3)):
+        algebra = random_local_algebra(rng, m, r)
+        text = cli.print_ca(algebra)
+        assert text.split("\n") == print_ca_oracle(algebra).split("\n")
+        lines = text.splitlines()
+        for line in (lines[3], "table-list " + " ".join(map(str, algebra.table))):
+            parsed = cli.parse_ca("\n".join(lines[:3] + [line]) + "\n")
+            assert parsed.table == parse_table_oracle(line) == algebra.table
+
+
+def test_table_readers_name_bad_input():
+    """The fallbacks behind the fast table readers: bad input gets the
+    same FormatError, and a non-ASCII digit int() reads still parses."""
+    head = "CA v1\nstates 2\nradius 1\n"
+    for line, message in (("table 01x1", "line 4: table digits must be 0-9"),
+                          ("table 0\u00b2", "line 4: table digits must be 0-9"),
+                          ("table-list 0 a", "line 4: table-list entries must be integers")):
+        with pytest.raises(cli.FormatError) as err:
+            cli.parse_ca(head + line + "\n")
+        assert str(err.value) == message
+    arabic = "".join(chr(0x660 + x) for x in eca(110).table)
+    assert cli.parse_ca(f"{head}table {arabic}\n") == eca(110)
+
+
+def _oracle_diagrams():
+    """The benchmark's CLI diagrams (300 steps of ECAs 30, 90, 110 and 150
+    and of four F_3 rules, each from one of its words), one cyclic
+    diagram, and diagrams of 1, 36 and 37 states: PGM scale 0 and either
+    side of the 36-glyph switch."""
+    words = ("1", "00111000", "10110101", "0101")
+    rules = [eca(n) for n in (30, 90, 110, 150)]
+    rules += [to_table(canonical_additive(3, a))
+              for a in ((2, 1, 1), (1, 2, 2), (1, 1, 2), (2, 2, 1))]
+    for k, rule in enumerate(rules):
+        yield evolve(rule, tuple(int(ch) for ch in words[k % len(words)]), 0, 300)
+    yield evolve(eca(110), (0, 1, 1, 0, 1) * 20, 0, 300, "cyclic")
+    yield evolve(LocalAlgebra(1, 1, (0,)), (0, 0, 0), 0, 5)
+    rng = random.Random(36)
+    for m in (36, 37):
+        rule = random_local_algebra(rng, m, 0)
+        yield evolve(rule, tuple(rng.randrange(m) for _ in range(2 * m)), rng.randrange(m), 20)
+
+
+def test_renders_match_oracles():
+    # compared line by line: a mismatch is reported at its first line,
+    # where a diff of two whole diagrams would take minutes
+    for diagram in _oracle_diagrams():
+        for dots in (False, True):
+            assert (cli.render_text(diagram, dots).split("\n")
+                    == render_text_oracle(diagram, dots).split("\n"))
+        assert cli.render_pgm(diagram).split("\n") == render_pgm_oracle(diagram).split("\n")
+
+
+def test_matrix_lines_match_oracle(rng):
+    """Digits run together at p = 3, decimals spaced at p = 11."""
+    for p, coefficients, n in ((3, (2, 1, 1), 200), (11, (3, 10, 7), 40)):
+        for mat in component_matrices(canonical_additive(p, coefficients), n):
+            assert cli._matrix_lines(mat) == matrix_lines_oracle(mat)
+        mat = FpMatrix.from_rows(p, [[rng.randrange(p) for _ in range(9)] for _ in range(7)])
+        assert cli._matrix_lines(mat) == matrix_lines_oracle(mat)
 
 
 def test_eca_fit_family_agrees():

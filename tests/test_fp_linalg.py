@@ -165,6 +165,20 @@ def test_subspace_rejects_non_rref_basis():
             Subspace(p, 2, (row,))
 
 
+def test_matrix_validation_names_the_first_bad_entry():
+    for rows, cols, entries, message in (
+            (1, 2, ((1, 5),), "entry 5 out of range mod 3"),
+            (1, 2, ((-1, 0),), "entry -1 out of range mod 3"),
+            # two bad entries, or a bad entry and a short row: whichever
+            # comes first in row order is named
+            (2, 2, ((0, 7), (-1, 0)), "entry 7 out of range mod 3"),
+            (2, 2, ((0, -1), (7, 0)), "entry -1 out of range mod 3"),
+            (2, 2, ((0, 5), (1,)), "entry 5 out of range mod 3"),
+            (2, 2, ((0,), (5, 1)), "column count does not match entries")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FpMatrix(3, rows, cols, entries)
+
+
 def test_subspace_join_and_coordinates():
     e1 = Subspace.span(2, 3, [(1, 0, 0)])
     e3 = Subspace.span(2, 3, [(0, 0, 1)])
