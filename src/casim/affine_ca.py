@@ -22,7 +22,7 @@ from typing import Sequence
 from . import ca_core
 from .ca_core import LocalAlgebra
 from .caps import DEFAULT_CAPS, Caps, require
-from .fp_linalg import (FpMatrix, Subspace, is_prime, nullspace_basis, solve)
+from .fp_linalg import FpMatrix, Subspace, first_out_of_range, is_prime, nullspace_basis, solve
 
 Vector = tuple[int, ...]
 
@@ -58,7 +58,7 @@ class AffineAlgebra:
                 raise ValueError("component matrices must be d x d over p")
         if len(self.constant) != self.d:
             raise ValueError("constant length must equal the dimension")
-        if any(not 0 <= x < self.p for x in self.constant):
+        if first_out_of_range(self.constant, self.p) is not None:
             raise ValueError("constant entries out of range")
 
     @property
@@ -117,7 +117,7 @@ class CanonicalAdditive:
             raise ValueError(f"modulus {self.p} is not prime")
         if len(self.coefficients) != 2 * self.r + 1:
             raise ValueError("expected 2r+1 coefficients")
-        if any(not 0 <= a < self.p for a in self.coefficients):
+        if first_out_of_range(self.coefficients, self.p) is not None:
             raise ValueError("coefficients must be residues mod p")
 
     @property
@@ -291,7 +291,7 @@ class CoefficientProfile:
     def __post_init__(self) -> None:
         if len(self.values) % 2 != 1:
             raise ValueError("profile covers symmetric positions -nr..nr")
-        if any(not 0 <= x < self.p for x in self.values):
+        if first_out_of_range(self.values, self.p) is not None:
             raise ValueError("profile entries must be residues mod p")
 
     @property

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, require
-from .fp_linalg import join_closure
+from .fp_linalg import first_out_of_range, join_closure
 
 Word = tuple[int, ...]
 
@@ -54,11 +54,12 @@ def unpack(word: Sequence[int], n: int, m: int) -> Word:
     """
     if n < 1:
         raise ValueError("block size must be at least 1")
-    limit = m ** n
+    word = tuple(word)
+    bad = first_out_of_range(word, m ** n)
+    if bad is not None:
+        raise ValueError(f"block value {word[bad]} out of range for m={m}, n={n}")
     out: list[int] = []
     for block in word:
-        if not 0 <= block < limit:
-            raise ValueError(f"block value {block} out of range for m={m}, n={n}")
         out.extend(decode_word(block, m, n))
     return tuple(out)
 
@@ -79,10 +80,9 @@ class LocalAlgebra:
         expected = self.m ** self.arity
         if len(self.table) != expected:
             raise ValueError(f"table length {len(self.table)} != m^(2r+1) = {expected}")
-        if not frozenset(range(self.m)).issuperset(self.table):
-            for out in self.table:  # name the first output out of range
-                if not 0 <= out < self.m:
-                    raise ValueError(f"table output {out} out of range")
+        bad = first_out_of_range(self.table, self.m)
+        if bad is not None:
+            raise ValueError(f"table output {self.table[bad]} out of range")
 
     @property
     def arity(self) -> int:
@@ -153,27 +153,31 @@ def unravel(algebra: LocalAlgebra, word: Sequence[int], iterations: int = 1) -> 
         raise ValueError("iteration count must be nonnegative")
     m, r = algebra.m, algebra.r
     word = tuple(word)
-    if not all(map(range(m).__contains__, set(word))):
-        for x in word:  # name the first state out of range
-            if not 0 <= x < m:
-                raise ValueError(f"state {x} out of range for m={m}")
+    bad = first_out_of_range(word, m)
+    if bad is not None:
+        raise ValueError(f"state {word[bad]} out of range for m={m}")
     if len(word) < 2 * iterations * r + 1:
         raise ValueError(
             f"word of length {len(word)} too short for {iterations} passes of radius {r}")
-    table = algebra.table
+    for _ in range(iterations):
+        word = _unravel_pass(algebra, word)
+    return tuple(word)
+
+
+def _unravel_pass(algebra: LocalAlgebra, word: Sequence[int]) -> list[int]:
+    """One unravelling pass, unchecked: the caller has checked that every
+    state is in range and that the word has at least 2r+1 cells."""
+    m, table = algebra.m, algebra.table
     arity = algebra.arity
     window = m ** (arity - 1)
-    current = list(word)
-    for _ in range(iterations):
-        out = []
-        idx = 0
-        for x in current[:arity - 1]:
-            idx = idx * m + x
-        for x in current[arity - 1:]:
-            idx = (idx % window) * m + x
-            out.append(table[idx])
-        current = out
-    return tuple(current)
+    out = []
+    idx = 0
+    for x in word[:arity - 1]:
+        idx = idx * m + x
+    for x in word[arity - 1:]:
+        idx = (idx % window) * m + x
+        out.append(table[idx])
+    return out
 
 
 def _pass_luts(algebra: LocalAlgebra, length: int) -> Iterator[list[int]]:
@@ -276,14 +280,11 @@ class SpaceTimeDiagram:
         if len(self.background) != len(self.rows):
             raise ValueError("one background state per row is required")
         width = len(self.rows[0]) if self.rows else 0
-        if not (all(len(row) == width for row in self.rows)
-                and all(map(range(self.m).__contains__, set().union(*self.rows)))):
-            for row in self.rows:  # name the first bad row or entry
-                if len(row) != width:
-                    raise ValueError("rows must have equal length")
-                for x in row:
-                    if not 0 <= x < self.m:
-                        raise ValueError("row entry out of range")
+        for row in self.rows:  # so the first bad row or entry is named
+            if len(row) != width:
+                raise ValueError("rows must have equal length")
+            if first_out_of_range(row, self.m) is not None:
+                raise ValueError("row entry out of range")
 
     @property
     def steps(self) -> int:
@@ -327,10 +328,10 @@ def evolve(algebra: LocalAlgebra, word: Sequence[int], background: int = 0,
     word = tuple(word)
     if not word:
         raise ValueError("initial word must be nonempty")
-    for x in word:
-        if not 0 <= x < m:
-            raise ValueError(f"state {x} out of range for m={m}")
-    if not 0 <= background < m:
+    bad = first_out_of_range(word, m)
+    if bad is not None:
+        raise ValueError(f"state {word[bad]} out of range for m={m}")
+    if first_out_of_range((background,), m) is not None:
         raise ValueError(f"background state {background} out of range")
     if steps < 0:
         raise ValueError("step count must be nonnegative")
@@ -348,11 +349,12 @@ def evolve(algebra: LocalAlgebra, word: Sequence[int], background: int = 0,
         n = len(word)
         for _ in range(steps):
             prev = rows[-1]
-            rows.append(unravel(algebra, [prev[i % n] for i in range(-r, n + r)]))
+            rows.append(tuple(_unravel_pass(algebra, [prev[i % n] for i in range(-r, n + r)])))
         return SpaceTimeDiagram(m, tuple(rows), 0, tuple(backgrounds), "cyclic")
     windows = [word]
     for b in backgrounds[:-1]:
-        windows.append(unravel(algebra, (b,) * (2 * r) + windows[-1] + (b,) * (2 * r)))
+        pad = (b,) * (2 * r)
+        windows.append(tuple(_unravel_pass(algebra, pad + windows[-1] + pad)))
     rows = [(b,) * ((steps - t) * r) + win + (b,) * ((steps - t) * r)
             for t, (win, b) in enumerate(zip(windows, backgrounds))]
     return SpaceTimeDiagram(m, tuple(rows), -steps * r, tuple(backgrounds), "background")
@@ -641,7 +643,7 @@ def restrict(algebra: LocalAlgebra, carrier: Sequence[int]) -> LocalAlgebra:
     """Subalgebra on `carrier`, relabeled to 0..|carrier|-1 in carrier order."""
     carrier = tuple(sorted(carrier))
     k = len(carrier)
-    if len(set(carrier)) != k or not set(carrier) <= set(range(algebra.m)):
+    if len(set(carrier)) != k or first_out_of_range(carrier, algebra.m) is not None:
         raise ValueError(f"carrier {carrier} is not a set of states below {algebra.m}")
     index = [-1] * algebra.m
     for i, s in enumerate(carrier):
@@ -824,17 +826,23 @@ def check_translation(a: LocalAlgebra, b: LocalAlgebra, state_map: dict[int, int
     else:
         source, target = b, a
     mapping = dict(enumerate(state_map)) if not isinstance(state_map, dict) else dict(state_map)
-    for s in range(source.m):
-        if s not in mapping:
-            raise ValueError(f"state map is not total: missing {s}")
-        if not 0 <= mapping[s] < target.m:
-            raise ValueError(f"state map image {mapping[s]} out of range")
+    images = [mapping.get(s) for s in range(source.m)]
+    bad = first_out_of_range(images, target.m)
+    if bad is not None:
+        if bad not in mapping:
+            raise ValueError(f"state map is not total: missing {bad}")
+        raise ValueError(f"state map image {images[bad]} out of range")
     if kind == "embed" and len(set(mapping.values())) != source.m:
         raise ValueError("embedding state maps must be injective")
 
+    if steps < 0:
+        raise ValueError("iteration count must be nonnegative")
+
     def commutes(word: Word) -> bool:
-        return (tuple(mapping[x] for x in unravel(source, word, steps))
-                == unravel(target, tuple(mapping[x] for x in word), steps))
+        image, mapped = word, [mapping[x] for x in word]
+        for _ in range(steps):
+            image, mapped = _unravel_pass(source, image), _unravel_pass(target, mapped)
+        return [mapping[x] for x in image] == mapped
 
     drawn = None if source.m ** width <= 65536 else sample
     if drawn is None:

@@ -41,14 +41,13 @@ class FormatError(Exception):
 # ---------------------------------------------------------------------------
 # file formats
 
-# One digit codec for every single-character cell: state x is the x-th
-# base-36 digit.  Tables, matrices and diagrams pass through bytes, so a
-# whole row is translated at C speed; every value is already checked to
-# be in range, and below 36, before it gets here.
+# One digit codec, for output only (input is read with int()): state x
+# is the x-th base-36 digit.  Tables, matrices and diagrams are written
+# through bytes, so a whole row is translated at C speed; every value is
+# already checked to be in range, and below 36, before it gets here.
 _GLYPHS = b"0123456789abcdefghijklmnopqrstuvwxyz"
 _TO_DIGITS = bytes.maketrans(bytes(range(len(_GLYPHS))), _GLYPHS)
 _TO_DOTS = bytes.maketrans(bytes(range(len(_GLYPHS))), b"." + _GLYPHS[1:])
-_FROM_DIGITS = bytes.maketrans(_GLYPHS[:10], bytes(range(10)))
 
 
 def _digits(values: Sequence[int], table: bytes = _TO_DIGITS) -> str:
@@ -116,14 +115,10 @@ def parse_ca(text: str) -> LocalAlgebra:
     number, line = reader.next_content()
     parts = line.split()
     if parts[0] == "table" and len(parts) == 2 and m <= 10:
-        digits = parts[1]
-        if digits.isascii() and digits.isdigit():
-            table = tuple(digits.encode("ascii").translate(_FROM_DIGITS))
-        else:
-            try:  # a non-ASCII digit int() reads still parses; anything else is refused
-                table = tuple(int(ch) for ch in digits)
-            except ValueError:
-                raise FormatError(number, "table digits must be 0-9")
+        try:  # a non-ASCII digit int() reads still parses; anything else is refused
+            table = tuple(map(int, parts[1]))
+        except ValueError:
+            raise FormatError(number, "table digits must be 0-9")
     elif parts[0] == "table-list":
         try:
             table = tuple(map(int, parts[1:]))

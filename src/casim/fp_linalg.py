@@ -19,6 +19,7 @@ line unless the test proves the maps simple.
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
@@ -50,6 +51,31 @@ def smallest_prime_factor(m: int) -> int:
 def _check_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
+
+
+def _all_in_range(values: Sequence[int], bound: int) -> bool:
+    try:  # any float entry, even a 1.0 that set() merges into 1, makes the sum a float
+        operator.index(sum(values))
+        distinct = set(values)
+    except (TypeError, OverflowError):
+        return False
+    return not distinct or (min(distinct) >= 0 and max(distinct) < bound)
+
+
+def first_out_of_range(values: Sequence[int], bound: int) -> int | None:
+    """Position of the first entry of `values` that is not an integer in
+    0..bound-1, or None: a position, so that a None entry cannot pass.
+
+    True and False count as 1 and 0.  A list passes when its sum is an
+    integer (a float entry, even 1.0, makes it a float; None or a string
+    makes it fail) and its distinct entries lie within the bounds.  No
+    set of `bound` elements is built, so any prime bound costs the same.
+    Only a failing list is scanned in order, with the same test on each
+    entry.
+    """
+    if _all_in_range(values, bound):
+        return None
+    return next((i for i, x in enumerate(values) if not _all_in_range((x,), bound)), None)
 
 
 def _reduce(rows: Sequence[Vector], vec: Sequence[int], p: int) -> list[int]:
@@ -97,16 +123,12 @@ class FpMatrix:
             raise ValueError("matrix dimensions must be positive")
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entries")
-        # the distinct entries are tested against range(p) itself, which
-        # builds no set of p elements: p is any prime
-        if not (all(len(row) == self.cols for row in self.entries)
-                and all(map(range(self.p).__contains__, set().union(*self.entries)))):
-            for row in self.entries:  # name the first bad row or entry
-                if len(row) != self.cols:
-                    raise ValueError("column count does not match entries")
-                for x in row:
-                    if not 0 <= x < self.p:
-                        raise ValueError(f"entry {x} out of range mod {self.p}")
+        for row in self.entries:  # so the first bad row or entry is named
+            if len(row) != self.cols:
+                raise ValueError("column count does not match entries")
+            bad = first_out_of_range(row, self.p)
+            if bad is not None:
+                raise ValueError(f"entry {row[bad]} out of range mod {self.p}")
 
     @staticmethod
     def from_rows(p: int, rows: Sequence[Sequence[int]]) -> "FpMatrix":
@@ -225,9 +247,9 @@ class Subspace:
         for row in self.basis:
             if len(row) != self.ambient:
                 raise ValueError("basis vector length does not match ambient dimension")
-            for x in row:
-                if not 0 <= x < self.p:
-                    raise ValueError(f"entry {x} out of range mod {self.p}")
+            bad = first_out_of_range(row, self.p)
+            if bad is not None:
+                raise ValueError(f"entry {row[bad]} out of range mod {self.p}")
             pivot = next((i for i, x in enumerate(row) if x), None)
             if pivot is None:
                 raise ValueError("basis contains a zero vector")

@@ -7,8 +7,9 @@ from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, _bijection_conjug
                              _relabeled_table, classify_affine, e0_evolution, fit_affine,
                              quotient_affine, subalgebra_affine, to_table)
 from casim.caps import DEFAULT_CAPS, require
-from casim.ca_core import (Congruence, LocalAlgebra, decode_word, encode_word, iterative_power,
-                           product, unravel, unpack)
+from casim.ca_core import (Congruence, LocalAlgebra, SpaceTimeDiagram, TranslationCheck,
+                           _diagonal, decode_word, encode_word, iterative_power, product,
+                           unravel, unpack)
 from casim.fp_linalg import FpMatrix, Subspace, invariant_closure, is_prime
 
 
@@ -381,6 +382,73 @@ def matrix_lines_oracle(mat):
     if mat.p <= 10:
         return ["".join(str(x) for x in row) for row in mat.entries]
     return [" ".join(str(x) for x in row) for row in mat.entries]
+
+
+def first_out_of_range_oracle(values, bound):
+    """`fp_linalg.first_out_of_range` as one in-order loop: the position
+    of the first entry that is not an int (bool included) in 0..bound-1."""
+    for i, x in enumerate(values):
+        if not (isinstance(x, int) and 0 <= x < bound):
+            return i
+    return None
+
+
+def evolve_unravel_oracle(algebra, word, background=0, steps=0, mode="background",
+                          caps=DEFAULT_CAPS):
+    """`ca_core.evolve` with one checking `unravel` call per step."""
+    m, r = algebra.m, algebra.r
+    word = tuple(word)
+    if not word:
+        raise ValueError("initial word must be nonempty")
+    for x in word:
+        if not 0 <= x < m:
+            raise ValueError(f"state {x} out of range for m={m}")
+    if not 0 <= background < m:
+        raise ValueError(f"background state {background} out of range")
+    if steps < 0:
+        raise ValueError("step count must be nonnegative")
+    if mode not in ("background", "cyclic"):
+        raise ValueError("mode must be 'background' or 'cyclic'")
+    width = len(word) + (2 * steps * r if mode == "background" else 0)
+    require((steps + 1) * width <= caps.table_cap,
+            f"space-time diagram needs {steps + 1}x{width} cells, cap {caps.table_cap}")
+    diagonal = _diagonal(algebra)
+    backgrounds = [background]
+    for _ in range(steps):
+        backgrounds.append(diagonal[backgrounds[-1]])
+    if mode == "cyclic":
+        rows = [word]
+        n = len(word)
+        for _ in range(steps):
+            prev = rows[-1]
+            rows.append(unravel(algebra, [prev[i % n] for i in range(-r, n + r)]))
+        return SpaceTimeDiagram(m, tuple(rows), 0, tuple(backgrounds), "cyclic")
+    windows = [word]
+    for b in backgrounds[:-1]:
+        windows.append(unravel(algebra, (b,) * (2 * r) + windows[-1] + (b,) * (2 * r)))
+    rows = [(b,) * ((steps - t) * r) + win + (b,) * ((steps - t) * r)
+            for t, (win, b) in enumerate(zip(windows, backgrounds))]
+    return SpaceTimeDiagram(m, tuple(rows), -steps * r, tuple(backgrounds), "background")
+
+
+def check_translation_unravel_oracle(a, b, state_map, kind, width=7, steps=1, sample=512,
+                                     seed=0):
+    """`ca_core.check_translation` on a valid state map, with both sides
+    of every window unravelled by the checking `unravel`: the first word,
+    in the same enumeration or seeded sample, on which they differ."""
+    source, target = (a, b) if kind == "embed" else (b, a)
+    mapping = dict(enumerate(state_map)) if not isinstance(state_map, dict) else dict(state_map)
+    drawn = None if source.m ** width <= 65536 else sample
+    if drawn is None:
+        words = itertools.product(range(source.m), repeat=width)
+    else:
+        rng = random.Random(seed)
+        words = (tuple(rng.randrange(source.m) for _ in range(width)) for _ in range(drawn))
+    for word in words:
+        if (tuple(mapping[x] for x in unravel(source, word, steps))
+                != unravel(target, tuple(mapping[x] for x in word), steps)):
+            return TranslationCheck(False, word, drawn)
+    return TranslationCheck(True, None, drawn)
 
 
 def random_local_algebra(rng, m, r=1):

@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, affine_isomorphism,
+from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, CoefficientProfile,
+                             affine_isomorphism,
                              canonical_additive, check_structure, classify_affine,
                              component_matrices, e0_evolution,
                              fit_affine, fit_canonical_additive, interleaving_bijection,
@@ -125,6 +126,18 @@ def test_fit_canonical_additive(z4_rule):
     assert rule == CanonicalAdditive(2, 1, (1, 0, 1))
     assert fit_canonical_additive(eca(105)) is None  # affine but not additive
     assert fit_canonical_additive(z4_rule) is None
+
+
+def test_residues_must_be_integers_below_p():
+    one = FpMatrix.identity(3, 2)
+    for bad in ((0, 0.5), (0, 3), (-1, 5)):
+        with pytest.raises(ValueError, match="^constant entries out of range$"):
+            AffineAlgebra(3, 2, 0, (one,), bad)
+        with pytest.raises(ValueError, match="^coefficients must be residues mod p$"):
+            CanonicalAdditive(3, 1, bad + (1,))
+        with pytest.raises(ValueError, match="^profile entries must be residues mod p$"):
+            CoefficientProfile(3, 1, bad + (1,))
+    assert CanonicalAdditive(3, 0, (True,)) == CanonicalAdditive(3, 0, (1,))
 
 
 def test_affine_up_to_iso():

@@ -18,7 +18,8 @@ from casim.ca_core import (Congruence, LocalAlgebra, SpaceTimeDiagram, _join,
                            enumerate_congruences, enumerate_subalgebras, evolve, idempotents,
                            iterative_power, outputs_on, permutivity, product,
                            quotient, restrict, singleton, unpack, unravel)
-from conftest import (iterative_power_unravel_oracle, join_closure_oracle, join_labels_oracle,
+from conftest import (check_translation_unravel_oracle, evolve_unravel_oracle,
+                      iterative_power_unravel_oracle, join_closure_oracle, join_labels_oracle,
                       low_image_algebra, outputs_on_oracle, pack,
                       principal_congruence_stack_oracle, product_componentwise_oracle,
                       random_local_algebra, wolfram_number)
@@ -154,6 +155,11 @@ def test_table_validation():
         LocalAlgebra(3, 0, (0, 5, -1))
     with pytest.raises(ValueError, match=r"^table output -1 out of range$"):
         LocalAlgebra(3, 0, (-1, 2, 5))
+    # a non-integer is refused, even one equal to a state listed before it
+    for table, bad in (((0, 1.5), "1.5"), ((1, 1.0), "1.0"), ((0, None), "None")):
+        with pytest.raises(ValueError, match=rf"^table output {bad} out of range$"):
+            LocalAlgebra(2, 0, table)
+    assert LocalAlgebra(2, 0, (False, True)) == LocalAlgebra(2, 0, (0, 1))
 
 
 def test_diagram_validation():
@@ -165,9 +171,12 @@ def test_diagram_validation():
                           (((0, -1), (1, 0)), "row entry out of range"),
                           # the first bad row in row order is named
                           (((0, 2), (1,)), "row entry out of range"),
-                          (((0, 1), (1,), (2, 0)), "rows must have equal length")):
+                          (((0, 1), (1,), (2, 0)), "rows must have equal length"),
+                          (((0, 0.5), (1, 0)), "row entry out of range"),
+                          (((0, 1), (1, 0.5, 0)), "rows must have equal length")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             diagram(*rows)
+    assert diagram((True, False), (0, 1)).rows == ((1, 0), (0, 1))
 
 
 def test_encodings_roundtrip():
@@ -179,6 +188,12 @@ def test_encodings_roundtrip():
     assert pack((1, 2, 0, 0), 2, 3) == (5, 0)
     with pytest.raises(ValueError):
         unpack([9], 2, 3)
+    # the first bad block in word order is named; a non-integer is refused
+    for word, bad in (([4, 9, -1], 9), ([4, -1, 9], -1), ([0.5], 0.5)):
+        with pytest.raises(ValueError, match=rf"^block value {bad} out of range for m=3, n=2$"):
+            unpack(word, 2, 3)
+    assert unpack([True], 2, 2) == (0, 1)
+    assert unpack(iter([5, 0]), 2, 3) == (1, 2, 0, 0)
 
 
 def test_unravel_examples():
@@ -194,6 +209,9 @@ def test_unravel_examples():
         unravel(eca(110), (0, 2, 3))
     with pytest.raises(ValueError, match=r"^state -1 out of range for m=2$"):
         unravel(eca(110), (1, -1, 2))
+    with pytest.raises(ValueError, match=r"^state 0.5 out of range for m=2$"):
+        unravel(eca(90), (0, 0.5, 1))
+    assert unravel(eca(90), (True, False, True, True)) == unravel(eca(90), (1, 0, 1, 1))
 
 
 def test_unravel_composes(rng):
@@ -363,6 +381,30 @@ def test_evolve_cyclic_matches_per_cell_oracle(rng):
                                   for i in range(n)))
             diagram = evolve(algebra, ring, 0, 4, "cyclic")
             assert diagram.rows == tuple(rows)
+
+
+def test_evolve_matches_unravel_oracle(rng):
+    for r in range(3):
+        for _ in range(12):
+            algebra = random_local_algebra(rng, rng.randrange(1, 5), r)
+            word = tuple(rng.randrange(algebra.m) for _ in range(rng.randrange(1, 9)))
+            background = rng.randrange(algebra.m)
+            steps = rng.randrange(7)
+            for mode in ("background", "cyclic"):
+                assert (evolve(algebra, word, background, steps, mode)
+                        == evolve_unravel_oracle(algebra, word, background, steps, mode))
+
+
+def test_evolve_validation():
+    # the first state out of range in word order is named
+    for word, background, message in (((0, 2, 3), 0, "state 2 out of range for m=2"),
+                                      ((1, -1, 2), 0, "state -1 out of range for m=2"),
+                                      ((0, 0.5, 1), 0, "state 0.5 out of range for m=2"),
+                                      ((0, 1), 2, "background state 2 out of range"),
+                                      ((0, 1), 0.5, "background state 0.5 out of range")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evolve(eca(110), word, background, 2)
+    assert evolve(eca(110), (True, False), True, 2) == evolve(eca(110), (1, 0), 1, 2)
 
 
 def test_evolve_gated_on_table_cap():
@@ -611,8 +653,8 @@ def test_congruence_rejects_incompatible(z4_rule):
 def test_restrict_requires_closure():
     with pytest.raises(ValueError):
         restrict(eca(90), (1,))
-    for not_a_carrier in ((-1,), (2,), (0, 0)):
-        with pytest.raises(ValueError):
+    for not_a_carrier in ((-1,), (2,), (0, 0), (1.0,), (0.5,)):
+        with pytest.raises(ValueError, match="is not a set of states below 2$"):
             restrict(eca(150), not_a_carrier)
     sub = restrict(eca(150), (1,))
     assert sub.m == 1 and sub.table == (0,)
@@ -767,6 +809,45 @@ def test_check_translation_identity_and_embed(z4_rule):
     assert check_translation(eca(90), z4_rule, {0: 0, 1: 2}, "embed", 7, 1)
     with pytest.raises(ValueError):
         check_translation(eca(90), z4_rule, [0, 0], "embed", 7, 1)
+
+
+def test_check_translation_matches_unravel_oracle(rng, z4_rule):
+    cases = [(eca(90), z4_rule, [0, 1, 0, 1], "project", 7, 1),
+             (eca(150), z4_rule, [0, 1, 0, 1], "project", 7, 1),
+             (eca(90), z4_rule, [0, 1, 0, 1], "project", 9, 1),  # 4^9 words: sampled
+             (eca(150), z4_rule, [0, 1, 0, 1], "project", 9, 1),
+             (eca(110), eca(110), [0, 1], "embed", 7, 2),
+             (eca(90), z4_rule, {0: 0, 1: 2}, "embed", 7, 1),
+             (eca(90), z4_rule, {0: 0, 1: 2}, "embed", 17, 2),  # 2^17 words: sampled
+             (eca(30), z4_rule, [1, 3], "embed", 17, 0)]
+    for _ in range(12):  # random maps, mostly refuted
+        r = rng.randrange(3)
+        small = random_local_algebra(rng, 2, r)
+        large = random_local_algebra(rng, 3, r)
+        width = rng.choice((2 * r + 1, 7, 11))
+        cases.append((small, large, rng.sample(range(3), 2), "embed", width, rng.randrange(2)))
+        cases.append((small, large, [rng.randrange(2) for _ in range(3)], "project", width, 1))
+    for a, b, state_map, kind, width, steps in cases:
+        if width < 2 * a.r * steps + 1:
+            continue
+        for sample, seed in ((40, 0), (25, 7)):
+            assert (check_translation(a, b, state_map, kind, width, steps, sample, seed)
+                    == check_translation_unravel_oracle(a, b, state_map, kind, width, steps,
+                                                        sample, seed))
+
+
+def test_check_translation_validation(z4_rule):
+    # the first bad image in state order is named, whether missing or out of range
+    for state_map, message in (({0: 5}, "state map image 5 out of range"),
+                               ({1: 5}, "state map is not total: missing 0"),
+                               ([0, 7, 9], "state map image 7 out of range"),
+                               ([0, 0.5], "state map image 0.5 out of range"),
+                               ({0: 0, 1: None}, "state map image None out of range")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_translation(eca(90), z4_rule, state_map, "embed", 7, 1)
+    with pytest.raises(ValueError, match="^iteration count must be nonnegative$"):
+        check_translation(eca(90), z4_rule, [0, 2], "embed", 7, -1)
+    assert check_translation(eca(90), z4_rule, [False, 2], "embed", 7, 1)
 
 
 def test_no_assert_statements_in_package():

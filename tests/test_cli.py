@@ -89,8 +89,8 @@ def test_print_and_parse_ca_match_oracles(rng):
 
 
 def test_table_readers_name_bad_input():
-    """The fallbacks behind the fast table readers: bad input gets the
-    same FormatError, and a non-ASCII digit int() reads still parses."""
+    """Bad table input gets a FormatError naming its line, and a
+    non-ASCII digit int() reads still parses."""
     head = "CA v1\nstates 2\nradius 1\n"
     for line, message in (("table 01x1", "line 4: table digits must be 0-9"),
                           ("table 0\u00b2", "line 4: table digits must be 0-9"),

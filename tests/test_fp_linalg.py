@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+import time
 from array import array
 
 import pytest
@@ -17,7 +18,8 @@ from casim.fp_linalg import (FpMatrix, Subspace, _check_maps, common_invariant_s
                              solve)
 from conftest import (all_canonical_rules, all_subspaces, invariant_closure_fixpoint_oracle,
                       is_invariant, is_simple_scan_oracle, is_trivial, join_closure_oracle,
-                      low_image_algebra, one_dim_filter_oracle, rref_gauss_jordan_oracle)
+                      first_out_of_range_oracle, low_image_algebra, one_dim_filter_oracle,
+                      rref_gauss_jordan_oracle)
 
 
 def random_matrix(rng, p, rows, cols):
@@ -160,9 +162,12 @@ def test_subspace_rejects_non_rref_basis():
     with pytest.raises(ValueError):
         Subspace(3, 2, ((2, 0),))  # pivot not normalized
     # entries outside 0..p-1 would give one line two spellings
-    for p, row in ((2, (2, 1)), (3, (1, 5)), (3, (1, -1))):
-        with pytest.raises(ValueError, match="out of range"):
+    # and of two bad entries the first in row order is named
+    for p, row, bad in ((2, (2, 1), "2"), (3, (1, 5), "5"), (3, (1, -1), "-1"),
+                        (3, (1, 0.5), "0.5"), (3, (5, -1), "5"), (3, (-1, 5), "-1")):
+        with pytest.raises(ValueError, match=rf"^entry {bad} out of range mod {p}$"):
             Subspace(p, 2, (row,))
+    assert Subspace(3, 2, ((True, 2),)) == Subspace(3, 2, ((1, 2),))
 
 
 def test_matrix_validation_names_the_first_bad_entry():
@@ -174,9 +179,33 @@ def test_matrix_validation_names_the_first_bad_entry():
             (2, 2, ((0, 7), (-1, 0)), "entry 7 out of range mod 3"),
             (2, 2, ((0, -1), (7, 0)), "entry -1 out of range mod 3"),
             (2, 2, ((0, 5), (1,)), "entry 5 out of range mod 3"),
-            (2, 2, ((0,), (5, 1)), "column count does not match entries")):
+            (2, 2, ((0,), (5, 1)), "column count does not match entries"),
+            (1, 2, ((1, 0.5),), "entry 0.5 out of range mod 3"),
+            (1, 2, ((1, 1.0),), "entry 1.0 out of range mod 3")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             FpMatrix(3, rows, cols, entries)
+    assert FpMatrix(3, 1, 2, ((True, False),)).entries == ((1, 0),)
+    # a non-integer is refused at once, however large the prime p
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^entry 0.5 out of range mod 10000019$"):
+        FpMatrix(10000019, 1, 2, ((1, 0.5),))
+    assert time.perf_counter() - started < 0.25
+
+
+def test_first_out_of_range_matches_oracle(rng):
+    """Random lists of in-range, negative, too large, bool and
+    non-integer entries, including floats equal to a state."""
+    for bound in (1, 2, 3, 7, 10000019, 2 ** 31 - 1):
+        def draw():
+            if rng.random() < 0.8:
+                return rng.randrange(bound)
+            return rng.choice((-rng.randrange(1, 4), bound + rng.randrange(3), True, False,
+                               0.5, 0.0, 1.0, None))
+
+        for _ in range(200):
+            values = [draw() for _ in range(rng.randrange(9))]
+            assert (fp_linalg.first_out_of_range(values, bound)
+                    == first_out_of_range_oracle(values, bound)), (values, bound)
 
 
 def test_subspace_join_and_coordinates():
