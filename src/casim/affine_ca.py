@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -203,6 +204,11 @@ def fit_affine(algebra: LocalAlgebra, p: int) -> AffineAlgebra | None:
     The constant is f(0, ..., 0); candidate matrix columns are probed
     with one-hot states, and the candidate is then verified against the
     whole table.  Returns None when verification fails.
+
+    Before the whole table, the candidate's diagonal f(v, ..., v) =
+    c + (sum of M_i) v, m evaluations, is compared with the table's:
+    most tables that are not affine already differ there.  Only the
+    whole-table comparison accepts a fit.
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
@@ -226,6 +232,10 @@ def fit_affine(algebra: LocalAlgebra, p: int) -> AffineAlgebra | None:
         components.append(FpMatrix(p, d, d, tuple(zip(*cols))))
     candidate = AffineAlgebra(p, d, algebra.r, tuple(components), constant)
     vectors = [candidate.decode_state(v) for v in range(m)]
+    # the radius-0 rule c + (sum of M_i) v is the candidate's diagonal
+    diagonal = AffineAlgebra(p, d, 0, (candidate.component_sum(),), candidate.constant)
+    if _affine_outputs(diagonal, vectors) != ca_core._diagonal(algebra):
+        return None
     if tuple(_affine_outputs(candidate, vectors)) != algebra.table:
         return None
     return candidate
@@ -406,8 +416,8 @@ def check_structure(rule: CanonicalAdditive, n: int,
 
     def band(offset: int, k: int) -> tuple[int, ...]:
         """Band at row - col = k (negative k is above the diagonal)."""
-        mat = matrices[offset + r]
-        return tuple(mat.entries[t][t - k] for t in range(max(0, k), min(n, n + k)))
+        entries = matrices[offset + r].entries
+        return tuple(map(operator.getitem, entries[max(0, k):n + min(0, k)], range(max(0, -k), n)))
 
     def constant_band(name: str, actual: tuple[int, ...], value: int) -> None:
         expected = (value,) * len(actual)
@@ -421,9 +431,9 @@ def check_structure(rule: CanonicalAdditive, n: int,
     # the outermost positions and the direction that points into the support
     sides = ((i, 1, "upper", "superdiagonal"), (j, -1, "lower", "subdiagonal"))
     for pos, step, shape, _ in sides:
-        outside = tuple(x for k in range(1, n) for x in band(pos, step * k))
+        outside = tuple(itertools.chain.from_iterable(band(pos, step * k) for k in range(1, n)))
         checks.append(StructureCheck(f"component {pos} {shape} triangular",
-                                     all(x == 0 for x in outside), "zeros", outside))
+                                     not any(outside), "zeros", outside))
     for pos, *_ in sides:
         constant_band(f"component {pos} diagonal", band(pos, 0), pow(rule.coefficient(pos), n, p))
     for order, ordinal in ((1, "first"), (2, "second"))[:n - 1]:

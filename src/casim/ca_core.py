@@ -110,25 +110,33 @@ def outputs_on(algebra: LocalAlgebra, states: Sequence[int]) -> list[int]:
 
     Entry v is f(states[d_1], ..., states[d_k]) where (d_1, ..., d_k) is
     v in base len(states), leftmost digit most significant; the states
-    may repeat.  This is the one table-evaluation kernel that products,
+    may repeat.  This is the one table-evaluation kernel that
     restrictions, quotients and relabelings are built on.
 
     The index prefixes over the first arity - 1 positions are built in
-    Python, times m, as the starts of their rows of m table entries;
-    the last position is read off each row by one itemgetter over the
-    states, so the innermost loop runs in C.
+    Python by _row_starts, as the starts of their rows of m table
+    entries; the last position is read off each row by one itemgetter
+    over the states, so the innermost loop runs in C.
     """
     if len(states) < 2:  # itemgetter needs an index, and returns one bare value for one
         return [algebra.apply([s] * algebra.arity) for s in states]
     m, table = algebra.m, algebra.table
+    last = operator.itemgetter(*states)
+    outputs: list[int] = []
+    for i in _row_starts(algebra, states):
+        outputs.extend(last(table[i:i + m]))
+    return outputs
+
+
+def _row_starts(algebra: LocalAlgebra, states: Sequence[int]) -> list[int]:
+    """Table index of the first entry of the row of every prefix over
+    the first arity - 1 positions, each position ranging over `states`
+    in order: the prefix in base m, times m."""
+    m = algebra.m
     starts = [0]
     for _ in range(algebra.arity - 1):
         starts = [(i + s) * m for i in starts for s in states]
-    last = operator.itemgetter(*states)
-    outputs: list[int] = []
-    for i in starts:
-        outputs.extend(last(table[i:i + m]))
-    return outputs
+    return starts
 
 
 def eca(number: int) -> LocalAlgebra:
@@ -235,7 +243,15 @@ def iterative_power(algebra: LocalAlgebra, n: int, caps: Caps = DEFAULT_CAPS) ->
 
 
 def product(algebras: Sequence[LocalAlgebra], caps: Caps = DEFAULT_CAPS) -> LocalAlgebra:
-    """Componentwise rule on mixed-radix-encoded tuples of states."""
+    """Componentwise rule on mixed-radix-encoded tuples of states.
+
+    The table is built a row at a time: the row of a combined prefix
+    (the last position over all m_total states) is the mixed-radix outer
+    sum of one row of each factor, the row that factor's digits of the
+    prefix select.  Each distinct combination of factor rows is built
+    once and reused for every prefix that selects it, so factors whose
+    rows repeat, as the rows of iterative powers do, cost little.
+    """
     if not algebras:
         raise ValueError("product needs at least one factor")
     r = algebras[0].r
@@ -248,13 +264,32 @@ def product(algebras: Sequence[LocalAlgebra], caps: Caps = DEFAULT_CAPS) -> Loca
     entries = m_total ** (2 * r + 1)
     require(entries <= caps.table_cap,
             f"product table needs {entries} entries, cap {caps.table_cap}")
-    # each factor runs on its own mixed-radix digit of every combined state
-    table = [0] * entries
+    # each factor runs on its own mixed-radix digit of every combined
+    # state.  Rows get ids by content, not by start: every combined
+    # prefix has a start of its own, so only contents repeat.  A row
+    # scaled by its factor's place adds its digit to a combined state.
     place = m_total
+    factor_rows: list[list[Word]] = []
+    row_keys = []
     for a in algebras:
         place //= a.m
+        ids: dict[Word, int] = {}
+        id_at = {i: ids.setdefault(a.table[i:i + a.m], len(ids))
+                 for i in range(0, len(a.table), a.m)}
+        factor_rows.append([tuple(o * place for o in row) for row in ids])
         digits = [(v // place) % a.m for v in range(m_total)]
-        table = list(map(operator.add, map(a.m.__mul__, table), outputs_on(a, digits)))
+        row_keys.append(map(id_at.__getitem__, _row_starts(a, digits)))
+    first_rows, later_rows = factor_rows[0], factor_rows[1:]
+    built: dict[tuple[int, ...], Sequence[int]] = {}
+    table: list[int] = []
+    for key in zip(*row_keys):
+        row = built.get(key)
+        if row is None:
+            row = first_rows[key[0]]
+            for rows, k in zip(later_rows, key[1:]):
+                row = [s + o for s in row for o in rows[k]]
+            built[key] = row
+        table.extend(row)
     return LocalAlgebra(m_total, r, tuple(table))
 
 
@@ -658,8 +693,13 @@ def restrict(algebra: LocalAlgebra, carrier: Sequence[int]) -> LocalAlgebra:
 
 
 def _diagonal(algebra: LocalAlgebra) -> list[int]:
-    """The diagonal map s -> f(s, ..., s), as its list of values."""
-    return [algebra.apply((s,) * algebra.arity) for s in range(algebra.m)]
+    """The diagonal map s -> f(s, ..., s), as its list of values.
+
+    The neighborhood (s, ..., s) has index s * (1 + m + ... + m^(k-1))
+    for arity k, so the diagonal is every such step-th table entry.
+    """
+    step = sum(algebra.m ** i for i in range(algebra.arity))
+    return list(algebra.table[::step])
 
 
 def idempotents(algebra: LocalAlgebra) -> list[int]:

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, _bijection_conjugates,
-                             _relabeled_table, classify_affine, e0_evolution, fit_affine,
-                             quotient_affine, subalgebra_affine, to_table)
+from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, _affine_outputs,
+                             _bijection_conjugates, _dimension_over, _relabeled_table,
+                             classify_affine, e0_evolution, fit_affine, quotient_affine,
+                             subalgebra_affine, to_table)
 from casim.caps import DEFAULT_CAPS, require
 from casim.ca_core import (Congruence, LocalAlgebra, SpaceTimeDiagram, TranslationCheck,
-                           _diagonal, decode_word, encode_word, iterative_power, product,
+                           decode_word, encode_word, iterative_power, product,
                            unravel, unpack)
 from casim.fp_linalg import FpMatrix, Subspace, invariant_closure, is_prime
 
@@ -267,6 +268,37 @@ def coset_construction_oracle(member, generator, p, caps=DEFAULT_CAPS):
     return result
 
 
+def fit_affine_full_table_oracle(algebra, p):
+    """`affine_ca.fit_affine` without the diagonal rejection: the
+    candidate from the constant and the one-hot probes, accepted or
+    refused by the whole-table comparison alone."""
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    d = _dimension_over(algebra.m, p)
+    if d is None:
+        raise ValueError(f"state count {algebra.m} is not a power of {p}")
+    if d == 0:
+        raise ValueError("singleton algebras carry no affine structure")
+    arity = algebra.arity
+    m = algebra.m
+    zero_nb = [0] * arity
+    constant = decode_word(algebra.apply(zero_nb), p, d)
+    components = []
+    for pos in range(arity):
+        cols = []
+        for t in range(d):
+            nb = zero_nb[:]
+            nb[pos] = p ** (d - 1 - t)  # the one-hot vector e_t, encoded
+            image = decode_word(algebra.apply(nb), p, d)
+            cols.append(tuple((x - c) % p for x, c in zip(image, constant)))
+        components.append(FpMatrix(p, d, d, tuple(zip(*cols))))
+    candidate = AffineAlgebra(p, d, algebra.r, tuple(components), constant)
+    vectors = [candidate.decode_state(v) for v in range(m)]
+    if tuple(_affine_outputs(candidate, vectors)) != algebra.table:
+        return None
+    return candidate
+
+
 def relabel_scan_oracle(algebra, p):
     """(bijection, affine form) for the first state relabeling, over all
     m! of them in lexicographic order, whose table fits an affine rule
@@ -412,7 +444,7 @@ def evolve_unravel_oracle(algebra, word, background=0, steps=0, mode="background
     width = len(word) + (2 * steps * r if mode == "background" else 0)
     require((steps + 1) * width <= caps.table_cap,
             f"space-time diagram needs {steps + 1}x{width} cells, cap {caps.table_cap}")
-    diagonal = _diagonal(algebra)
+    diagonal = [algebra.apply((s,) * algebra.arity) for s in range(m)]
     backgrounds = [background]
     for _ in range(steps):
         backgrounds.append(diagonal[backgrounds[-1]])

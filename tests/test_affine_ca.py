@@ -14,12 +14,14 @@ from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, CoefficientProfil
                              subalgebra_affine, to_table, verify_splitting,
                              _affine_outputs, _bijection_conjugates, _relabeled_table,
                              _verify_coset_embedding)
-from casim.ca_core import (Congruence, LocalAlgebra, are_isomorphic, eca, enumerate_congruences,
-                           enumerate_subalgebras, evolve, iterative_power, product, quotient)
+from casim.ca_core import (Congruence, LocalAlgebra, _diagonal, are_isomorphic, eca,
+                           encode_word, enumerate_congruences, enumerate_subalgebras, evolve,
+                           iterative_power, product, quotient)
 from casim.caps import DEFAULT_CAPS, CapExceeded, Caps
 from casim.fp_linalg import FpMatrix, Subspace, common_invariant_subspaces
 from conftest import (all_canonical_rules, apply_vectors_oracle, coset_congruence_oracle,
-                      component_matrices_oracle, doubly_bijective_rules, is_invariant,
+                      component_matrices_oracle, doubly_bijective_rules,
+                      fit_affine_full_table_oracle, is_invariant,
                       profile_value_at, random_affine_f2, random_local_algebra,
                       relabel_scan_oracle)
 
@@ -105,10 +107,13 @@ def test_fit_affine_examples():
 
 
 def test_fit_affine_on_canonical_rules_and_their_squares():
-    """fit_affine checks its candidate against the whole table: it must
-    return the rule's own affine form on every radius-1 canonical rule
-    over F_2, F_3 and F_5 and on its B^[2], and None once the last
-    entry, which no probe reads, is changed."""
+    """fit_affine must return the rule's own affine form on every radius-1
+    canonical rule over F_2, F_3 and F_5 and on its B^[2], and None once
+    one entry is changed.  The last entry, f(m-1, m-1, m-1), lies on the
+    diagonal, so the diagonal comparison refuses it.  The entry at
+    neighborhood (1, 1, 0) has two nonzero cells, so no one-hot probe
+    reads it, and it is off the diagonal: only the whole-table
+    comparison can refuse that change."""
     for p in (2, 3, 5):
         for rule in all_canonical_rules(p):
             table = to_table(rule)
@@ -116,9 +121,48 @@ def test_fit_affine_on_canonical_rules_and_their_squares():
             for algebra, expected in ((table, rule.as_affine()),
                                       (iterative_power(table, 2), square)):
                 assert fit_affine(algebra, p) == expected
-                last = (algebra.table[-1] + 1) % algebra.m
-                changed = LocalAlgebra(algebra.m, algebra.r, algebra.table[:-1] + (last,))
-                assert fit_affine(changed, p) is None
+                m = algebra.m
+                for v in (m ** 3 - 1, encode_word((1, 1, 0), m)):
+                    entries = list(algebra.table)
+                    entries[v] = (entries[v] + 1) % m
+                    changed = LocalAlgebra(m, algebra.r, tuple(entries))
+                    assert fit_affine(changed, p) is None
+                    assert (_diagonal(changed) == _diagonal(algebra)) == (v != m ** 3 - 1)
+
+
+def test_fit_affine_matches_full_table_oracle(rng):
+    """fit_affine returns exactly what the whole-table check alone
+    returns: on seeded random tables, on products of canonical powers
+    relabelled by random bijections as the decide benchmark's targets
+    are (and not relabelled), and on affine tables with one random entry
+    changed."""
+    cases = []
+    for m, p, r in ((2, 2, 1), (3, 3, 1), (4, 2, 1), (8, 2, 1), (9, 3, 1), (5, 5, 0), (4, 2, 2)):
+        cases.extend((random_local_algebra(rng, m, r), p) for _ in range(4))
+    for coefficients in ((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1)):
+        rule = to_table(canonical_additive(3, coefficients))
+        combined = product([iterative_power(rule, 2), rule])
+        cases.append((combined, 3))
+        for _ in range(3):
+            sigma = list(range(combined.m))
+            rng.shuffle(sigma)
+            cases.append((_relabeled_table(combined, sigma), 3))
+    affine = [to_table(random_affine_f2(rng, d, require_witnesses=False))
+              for d in (1, 2, 3) for _ in range(3)]
+    affine += [to_table(canonical_additive(p, [rng.randrange(p) for _ in range(3)]))
+               for p in (3, 5)]
+    for algebra in affine:
+        v = rng.randrange(len(algebra.table))
+        entries = list(algebra.table)
+        entries[v] = (entries[v] + rng.randrange(1, algebra.m)) % algebra.m
+        p = 2 if algebra.m in (2, 4, 8) else algebra.m
+        cases += [(algebra, p), (LocalAlgebra(algebra.m, algebra.r, tuple(entries)), p)]
+    outcomes = set()
+    for algebra, p in cases:
+        expected = fit_affine_full_table_oracle(algebra, p)
+        assert fit_affine(algebra, p) == expected
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 def test_fit_canonical_additive(z4_rule):

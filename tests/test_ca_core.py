@@ -11,7 +11,7 @@ from casim import ca_core
 from casim.affine_ca import (_bijection_conjugates, _relabeled_table, canonical_additive,
                              to_table)
 from casim.caps import CapExceeded, Caps
-from casim.ca_core import (Congruence, LocalAlgebra, SpaceTimeDiagram, _join,
+from casim.ca_core import (Congruence, LocalAlgebra, SpaceTimeDiagram, _diagonal, _join,
                            _partition_of_labels, _principal_congruences, _subalgebra_closure,
                            _translations, are_isomorphic, canonical_partition,
                            check_translation, decode_word, eca, encode_word,
@@ -281,13 +281,29 @@ def test_product_examples():
 
 
 def test_product_matches_componentwise_oracle(rng):
-    for _ in range(12):
-        r = rng.randrange(0, 2)
-        factors = [random_local_algebra(rng, rng.randrange(1, 4), r)
-                   for _ in range(rng.randrange(2, 4))]
-        combined = product(factors)
-        assert combined.m == math.prod(a.m for a in factors)
-        assert combined.table == product_componentwise_oracle(factors)
+    """The row-memo kernel against the neighborhood-by-neighborhood
+    oracle at r = 0, 1 and 2, on one to four factors: random tables,
+    whose rows rarely repeat; iterative powers of canonical rules, whose
+    rows mostly repeat; 1-state factors; and one factor used twice.
+    Products stay within 4096 entries so the oracle stays quick."""
+    for r in range(3):
+        arity = 2 * r + 1
+        random_tables = [random_local_algebra(rng, m, r) for m in (1, 2, 2, 3, 4)]
+        powers = [iterative_power(to_table(canonical_additive(p, [rng.randrange(p)
+                                                                  for _ in range(arity)])), n)
+                  for p, n in ((2, 1), (2, 2), (3, 1), (2, 1))]
+        pool = random_tables + powers
+        one, power = singleton(r), powers[0]
+        cases = [[power], [power, power], [one, power, one], [power, one, power, one], [one]]
+        for _ in range(16):
+            factors = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
+            while math.prod(a.m for a in factors) ** arity > 4096:
+                factors.pop()
+            cases.append(factors)
+        for factors in cases:
+            combined = product(factors)
+            assert combined.m == math.prod(a.m for a in factors)
+            assert combined.table == product_componentwise_oracle(factors)
 
 
 # the F_3 rules whose B^[2] x B^[1] (27 states, 19,683 entries) the decide
@@ -765,6 +781,17 @@ def test_idempotents():
     assert idempotents(eca(105)) == []
     assert idempotents(eca(150)) == [0, 1]
     assert idempotents(LocalAlgebra(2, 1, (0,) * 8)) == [0]
+
+
+def test_diagonal_matches_one_lookup_per_state(rng):
+    """The diagonal read as every step-th table entry against f(s, ..., s)
+    looked up state by state, on seeded random algebras with 1 to 12
+    states and r = 0, 1 and 2."""
+    for m, r in itertools.product(range(1, 13), range(3)):
+        if m ** (2 * r + 1) > 4096:
+            continue
+        algebra = random_local_algebra(rng, m, r)
+        assert _diagonal(algebra) == [algebra.apply((s,) * algebra.arity) for s in range(m)]
 
 
 def test_permutivity():
