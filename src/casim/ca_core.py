@@ -405,7 +405,7 @@ class Congruence:
 
     def __post_init__(self) -> None:
         seen = sorted(x for block in self.blocks for x in block)
-        if seen != list(range(self.algebra.m)):
+        if seen != list(range(self.algebra.m)) or not all(self.blocks):
             raise ValueError("blocks do not partition the state set")
         for block in self.blocks:
             if list(block) != sorted(block):
@@ -450,7 +450,7 @@ class Congruence:
 
 def canonical_partition(blocks: Iterable[Iterable[int]]) -> tuple[Word, ...]:
     normalized = [tuple(sorted(block)) for block in blocks]
-    normalized.sort(key=lambda b: b[0])
+    normalized.sort(key=lambda b: b[:1])
     return tuple(normalized)
 
 

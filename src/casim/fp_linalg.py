@@ -459,6 +459,8 @@ def _norton(maps: Sequence[FpMatrix]) -> bool | None:
     on F_p^n / U, and then the transpose-invariant U^perp meets
     null(theta^T)."""
     p, n = _check_maps(maps)
+    if n == 1:
+        return True  # F_p^1 has no proper nonzero subspace
     identity = FpMatrix.identity(p, n)
     theta, kernel = None, []
     for m, lam in itertools.product(maps, range(p)):

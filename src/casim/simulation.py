@@ -143,12 +143,10 @@ class _IsoMatcher:
     def _affine_form(self, algebra: LocalAlgebra) -> AffineAlgebra | None:
         key = (algebra.m, algebra.r, algebra.table)
         if key not in self._affine_cache:
-            form = None
-            if algebra.m > 1:
-                p = smallest_prime_factor(algebra.m)
-                if affine_ca._dimension_over(algebra.m, p) is not None:
-                    form = affine_ca.fit_affine(algebra, p)
-            self._affine_cache[key] = form
+            # m > 1: find returns at equal tables first, and all 1-state tables are equal
+            p = smallest_prime_factor(algebra.m)
+            power_of_p = affine_ca._dimension_over(algebra.m, p) is not None
+            self._affine_cache[key] = affine_ca.fit_affine(algebra, p) if power_of_p else None
         return self._affine_cache[key]
 
     def find(self, a: LocalAlgebra, b: LocalAlgebra) -> Word | None:
@@ -176,6 +174,13 @@ def closure_members(generator: LocalAlgebra, bounds: SearchBounds = DEFAULT_BOUN
     quotients.  Members are deduplicated up to isomorphism and keep the
     first derivation that produced them; generation order is fixed, so
     the inventory is deterministic.
+
+    The member registry (fingerprint buckets, then `_IsoMatcher`) is the
+    only dedup, and it also skips a restriction isomorphic to a member
+    R1/theta before its congruences are enumerated.  That loses nothing:
+    each of its quotients is isomorphic to some R1/psi with psi >= theta,
+    registered when R1 was enumerated in full, and its congruence lattice
+    is an interval of Con(R1), so it hits no cap that R1's did not.
     """
     size_cap = bounds.effective_size_cap(generator.m)
     cache_key = (generator.m, generator.r, generator.table,
@@ -193,16 +198,14 @@ def closure_members(generator: LocalAlgebra, bounds: SearchBounds = DEFAULT_BOUN
     by_fingerprint: dict[tuple, list[int]] = {}
     matcher = _IsoMatcher(caps)
 
-    def register(algebra: LocalAlgebra, derivation: Derivation) -> None:
-        fingerprint = ca_core.algebra_fingerprint(algebra)
-        for index in by_fingerprint.get(fingerprint, []):
-            if matcher.find(members[index].algebra, algebra) is not None:
-                return
-        by_fingerprint.setdefault(fingerprint, []).append(len(members))
+    def known(algebra: LocalAlgebra) -> bool:
+        return any(matcher.find(members[index].algebra, algebra) is not None
+                   for index in by_fingerprint.get(ca_core.algebra_fingerprint(algebra), ()))
+
+    def append(algebra: LocalAlgebra, derivation: Derivation) -> None:
+        by_fingerprint.setdefault(ca_core.algebra_fingerprint(algebra), []).append(len(members))
         members.append(ClosureMember(algebra, derivation))
 
-    seen_products: set[tuple] = set()
-    seen_restrictions: set[tuple] = set()
     for k in range(1, bounds.k_max + 1):
         for multiset in itertools.combinations_with_replacement(
                 range(1, bounds.n_max + 1), k):
@@ -213,10 +216,6 @@ def closure_members(generator: LocalAlgebra, bounds: SearchBounds = DEFAULT_BOUN
                 complete = False
                 continue
             prod = powers.product(multiset)
-            key = (prod.m, prod.table)
-            if key in seen_products:
-                continue
-            seen_products.add(key)
             try:
                 carriers = ca_core.enumerate_subalgebras(prod, scaled)
             except CapExceeded:
@@ -224,18 +223,18 @@ def closure_members(generator: LocalAlgebra, bounds: SearchBounds = DEFAULT_BOUN
                 continue
             for carrier in carriers:
                 restricted = ca_core.restrict(prod, carrier)
-                restriction_key = (restricted.m, restricted.table)
-                if restriction_key in seen_restrictions:
+                if known(restricted):
                     continue
-                seen_restrictions.add(restriction_key)
                 try:
                     congruences = ca_core.enumerate_congruences(restricted, scaled)
                 except CapExceeded:
                     complete = False
                     continue
-                for congruence in congruences:
-                    register(ca_core.quotient(congruence),
-                             Derivation(multiset, carrier, congruence.blocks))
+                # congruences[0] is the discrete one, whose quotient is `restricted`
+                append(restricted, Derivation(multiset, carrier, congruences[0].blocks))
+                for congruence in congruences[1:]:
+                    if not known(algebra := ca_core.quotient(congruence)):
+                        append(algebra, Derivation(multiset, carrier, congruence.blocks))
 
     inventory = ClosureInventory(generator, bounds, tuple(members), complete)
     _INVENTORY_CACHE[cache_key] = inventory
@@ -288,10 +287,6 @@ def replay_witness(target: LocalAlgebra, simulator: LocalAlgebra,
 
 def _full_carrier(algebra: LocalAlgebra) -> Word:
     return tuple(range(algebra.m))
-
-
-def _discrete_partition(size: int) -> tuple[Word, ...]:
-    return tuple((s,) for s in range(size))
 
 
 def _partitions_with_parts(total: int, coprime_to: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -378,7 +373,7 @@ def _decide_doubly_bijective(target: LocalAlgebra, simulator: LocalAlgebra,
     if match is not None:
         multiset, iso = match
         derivation = Derivation(multiset, _full_carrier(target),
-                                _discrete_partition(target.m))
+                                tuple((s,) for s in range(target.m)))
         return SimulationVerdict("yes", witness=SimulationWitness(derivation, iso))
     return SimulationVerdict(
         "no", reason=(

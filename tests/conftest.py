@@ -7,11 +7,14 @@ from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, _affine_outputs,
                              _bijection_conjugates, _dimension_over, _relabeled_table,
                              classify_affine, e0_evolution, fit_affine, quotient_affine,
                              subalgebra_affine, to_table)
-from casim.caps import DEFAULT_CAPS, require
+from casim import ca_core
+from casim.caps import DEFAULT_CAPS, CapExceeded, require
 from casim.ca_core import (Congruence, LocalAlgebra, SpaceTimeDiagram, TranslationCheck,
-                           decode_word, encode_word, iterative_power, product,
-                           unravel, unpack)
+                           are_isomorphic, canonical_partition, decode_word, encode_word,
+                           iterative_power, product, unravel, unpack)
 from casim.fp_linalg import FpMatrix, Subspace, invariant_closure, is_prime
+from casim.simulation import (ClosureInventory, ClosureMember, Derivation, _IsoMatcher,
+                              _Powers)
 
 
 @pytest.fixture
@@ -361,6 +364,135 @@ def join_labels_oracle(l1, l2):
     for x, lead in enumerate(l2):
         label = merge_labels_oracle(label, x, lead)
     return tuple(label)
+
+
+def set_partitions(items):
+    """Every partition of the list `items` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for k in range(len(part)):
+            yield part[:k] + [[head] + part[k]] + part[k + 1:]
+        yield [[head]] + part
+
+
+def closure_members_oracle(generator, bounds, caps=DEFAULT_CAPS):
+    """`simulation.closure_members` as it was with three dedups, and
+    without the inventory cache: an exact-table set for products,
+    another for restrictions, and the member registry on every quotient,
+    the discrete one included."""
+    size_cap = bounds.effective_size_cap(generator.m)
+    scaled = caps.scaled_to(size_cap)
+    complete = True
+    powers = _Powers(generator, caps)
+
+    members = []
+    by_fingerprint = {}
+    matcher = _IsoMatcher(caps)
+
+    def register(algebra, derivation):
+        fingerprint = ca_core.algebra_fingerprint(algebra)
+        for index in by_fingerprint.get(fingerprint, []):
+            if matcher.find(members[index].algebra, algebra) is not None:
+                return
+        by_fingerprint.setdefault(fingerprint, []).append(len(members))
+        members.append(ClosureMember(algebra, derivation))
+
+    seen_products = set()
+    seen_restrictions = set()
+    for k in range(1, bounds.k_max + 1):
+        for multiset in itertools.combinations_with_replacement(
+                range(1, bounds.n_max + 1), k):
+            size = generator.m ** sum(multiset)
+            if size > size_cap:
+                continue
+            if size ** generator.arity > caps.table_cap:
+                complete = False
+                continue
+            prod = powers.product(multiset)
+            key = (prod.m, prod.table)
+            if key in seen_products:
+                continue
+            seen_products.add(key)
+            try:
+                carriers = ca_core.enumerate_subalgebras(prod, scaled)
+            except CapExceeded:
+                complete = False
+                continue
+            for carrier in carriers:
+                restricted = ca_core.restrict(prod, carrier)
+                restriction_key = (restricted.m, restricted.table)
+                if restriction_key in seen_restrictions:
+                    continue
+                seen_restrictions.add(restriction_key)
+                try:
+                    congruences = ca_core.enumerate_congruences(restricted, scaled)
+                except CapExceeded:
+                    complete = False
+                    continue
+                for congruence in congruences:
+                    register(ca_core.quotient(congruence),
+                             Derivation(multiset, carrier, congruence.blocks))
+    return ClosureInventory(generator, bounds, tuple(members), complete)
+
+
+def closure_members_brute_oracle(generator, bounds):
+    """The bounded closure with default caps, for products of at most 8
+    states, from first principles: powers and products from their
+    oracles, every nonempty subset closed under the rule as a carrier,
+    every set partition checked for compatibility on the restricted
+    table, both sorted as the enumerators sort them, and each quotient
+    kept unless `are_isomorphic` matches an earlier member."""
+    r, arity = generator.r, generator.arity
+
+    def labels(blocks, m):
+        label = [0] * m
+        for b, block in enumerate(blocks):
+            for x in block:
+                label[x] = b
+        return label
+
+    members = []
+    for k in range(1, bounds.k_max + 1):
+        for multiset in itertools.combinations_with_replacement(
+                range(1, bounds.n_max + 1), k):
+            size = generator.m ** sum(multiset)
+            if size > bounds.effective_size_cap(generator.m):
+                continue
+            if size > 8:
+                raise ValueError("the brute-force closure takes products of at most 8 states")
+            prod = LocalAlgebra(size, r, product_componentwise_oracle([
+                LocalAlgebra(generator.m ** n, r, iterative_power_unravel_oracle(generator, n))
+                for n in multiset]))
+            carriers = [c for n in range(1, size + 1)
+                        for c in itertools.combinations(range(size), n)
+                        if all(prod.apply(nb) in c for nb in itertools.product(c, repeat=arity))]
+            for carrier in sorted(carriers, key=lambda c: (len(c), c)):
+                restricted = LocalAlgebra.from_function(
+                    len(carrier), r, lambda *xs: carrier.index(prod.apply([carrier[x] for x in xs])))
+                rows = list(zip(itertools.product(range(restricted.m), repeat=arity),
+                                restricted.table))
+                partitions = []
+                for part in set_partitions(list(range(restricted.m))):
+                    blocks = canonical_partition(part)
+                    label = labels(blocks, restricted.m)
+                    # compatible: related neighborhoods have related outputs
+                    image = {}
+                    if all(image.setdefault(tuple(label[x] for x in nb), label[out]) == label[out]
+                           for nb, out in rows):
+                        partitions.append(blocks)
+                for blocks in sorted(partitions, key=lambda part: (-len(part), part)):
+                    label = labels(blocks, restricted.m)
+                    quotient = LocalAlgebra.from_function(len(blocks), r, lambda *xs: label[
+                        restricted.apply([blocks[x][0] for x in xs])])
+                    if not any(member.size == quotient.m
+                               and are_isomorphic(member.algebra, quotient) is not None
+                               for member in members):
+                        members.append(ClosureMember(quotient,
+                                                     Derivation(multiset, carrier, blocks)))
+    return ClosureInventory(generator, bounds, tuple(members), True)
 
 
 def print_ca_oracle(algebra):

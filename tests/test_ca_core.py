@@ -22,7 +22,7 @@ from conftest import (check_translation_unravel_oracle, evolve_unravel_oracle,
                       iterative_power_unravel_oracle, join_closure_oracle, join_labels_oracle,
                       low_image_algebra, outputs_on_oracle, pack,
                       principal_congruence_stack_oracle, product_componentwise_oracle,
-                      random_local_algebra, wolfram_number)
+                      random_local_algebra, set_partitions, wolfram_number)
 
 
 def random_lattice_algebra(rng):
@@ -532,20 +532,10 @@ def test_congruence_examples(z4_rule):
 
 
 def test_congruences_match_partition_oracle(rng):
-    def all_partitions(items):
-        if not items:
-            yield []
-            return
-        head, rest = items[0], items[1:]
-        for part in all_partitions(rest):
-            for k in range(len(part)):
-                yield part[:k] + [[head] + part[k]] + part[k + 1:]
-            yield [[head]] + part
-
     for _ in range(10):
         algebra = random_lattice_algebra(rng)
         oracle = set()
-        for part in all_partitions(list(range(algebra.m))):
+        for part in set_partitions(list(range(algebra.m))):
             blocks = canonical_partition(part)
             label = {}
             for k, block in enumerate(blocks):
@@ -664,6 +654,16 @@ def test_congruence_rejects_incompatible(z4_rule):
     # x+z mod 4 with z = 1: putting 1 for 0 at offset -1 turns output 1 into 2
     with pytest.raises(ValueError, match=r"states 0,1 at position -1 "):
         Congruence.from_blocks(z4_rule, [[0, 1], [2, 3]])
+    # an empty block is refused like any other non-partition
+    for blocks in (((), (0,), (1,)), ((0,), (1,), ()), ((0,),), ((0, 1), (1,))):
+        with pytest.raises(ValueError, match="^blocks do not partition the state set$"):
+            Congruence(eca(90), blocks)
+        with pytest.raises(ValueError, match="^blocks do not partition the state set$"):
+            Congruence.from_blocks(eca(90), [list(block) for block in blocks])
+    with pytest.raises(ValueError, match="^block elements must be ascending$"):
+        Congruence(eca(90), ((1, 0),))
+    with pytest.raises(ValueError, match="^blocks must be sorted by least element$"):
+        Congruence(eca(90), ((1,), (0,)))
 
 
 def test_restrict_requires_closure():

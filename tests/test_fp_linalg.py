@@ -373,6 +373,23 @@ def test_norton_spins_two_lines_where_the_scan_spins_every_line(monkeypatch):
     assert len(spins) <= 2
 
 
+def test_norton_answers_at_once_in_one_dimension(monkeypatch):
+    # F_p^1 has no proper nonzero subspace; the lambda scan would build
+    # and reduce M - lambda*I for 100,000 lambdas before one is singular
+    p = 100003
+    maps = [FpMatrix(p, 1, 1, ((100000,),))] * 3
+    nullspaces = []
+
+    def counting_nullspace(matrix):
+        nullspaces.append(matrix)
+        return nullspace_basis(matrix)
+
+    monkeypatch.setattr(fp_linalg, "nullspace_basis", counting_nullspace)
+    assert is_simple(maps)
+    assert common_invariant_subspaces(maps) == [Subspace.zero(p, 1), Subspace.full(p, 1)]
+    assert nullspaces == []
+
+
 def test_lattice_cap_gates_a_simple_module():
     # the shortcut still joins {0} and F_p^n under the lattice cap
     J = FpMatrix.shift(3, 6)

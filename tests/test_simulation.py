@@ -1,16 +1,20 @@
+import random
+
 import pytest
 
+from casim import ca_core, simulation
 from casim.affine_ca import (AffineAlgebra, _bijection_conjugates, _relabeled_table,
                              canonical_additive, fit_affine, to_table)
 from casim.caps import DEFAULT_CAPS, CapExceeded, Caps
 from casim.ca_core import (LocalAlgebra, are_isomorphic, eca, enumerate_congruences,
-                           enumerate_subalgebras, product, quotient, restrict,
-                           singleton)
+                           enumerate_subalgebras, iterative_power, product, quotient,
+                           restrict, singleton)
 from casim.fp_linalg import FpMatrix
 from casim.simulation import (SearchBounds, _IsoMatcher, classify_canonical, closure_members,
                               replay_derivation, replay_witness, simulates,
                               verify_affine_closure, verify_characterization)
-from conftest import coset_construction_oracle, random_local_algebra
+from conftest import (closure_members_brute_oracle, closure_members_oracle,
+                      coset_construction_oracle, random_local_algebra)
 
 SMALL = SearchBounds(1, 1)
 
@@ -94,6 +98,71 @@ def test_closure_is_closed_at_bounds(z4_rule):
                 image = quotient(congruence)
                 assert any(are_isomorphic(image, other.algebra) is not None
                            for other in tables if other.size == image.m)
+
+
+def _outcome(inventory):
+    """Members, in order, with their first derivations, and `complete`;
+    not `bounds`, which a cached inventory keeps from the call that
+    built it."""
+    return inventory.members, inventory.complete
+
+
+@pytest.mark.parametrize("m, bounds", [(2, (2, 1)), (2, (1, 2)), (2, (2, 2, 8)), (3, (1, 1))])
+def test_closure_matches_brute_force_oracle(m, bounds):
+    rng = random.Random(1000 * m + sum(bounds))
+    for _ in range(6):
+        generator = random_local_algebra(rng, m)
+        assert (_outcome(closure_members(generator, SearchBounds(*bounds)))
+                == _outcome(closure_members_brute_oracle(generator, SearchBounds(*bounds))))
+
+
+def _count_congruence_enumerations(monkeypatch):
+    """Start closures cold and count `enumerate_congruences` calls,
+    and the calls among them that raise CapExceeded."""
+    monkeypatch.setattr(simulation, "_INVENTORY_CACHE", {})
+    calls = {"all": 0, "capped": 0}
+    enumerate_all = ca_core.enumerate_congruences
+
+    def counted(algebra, caps):
+        calls["all"] += 1
+        try:
+            return enumerate_all(algebra, caps)
+        except CapExceeded:
+            calls["capped"] += 1
+            raise
+
+    monkeypatch.setattr(ca_core, "enumerate_congruences", counted)
+    return calls
+
+
+@pytest.mark.parametrize("number, bounds, skipped", [
+    (7, (2, 1), 2), (13, (2, 1), 2), (41, (2, 2, 8), 1), (57, (2, 2, 8), 1)])
+def test_closure_skips_restrictions_isomorphic_to_a_member(monkeypatch, number, bounds,
+                                                           skipped):
+    # each skipped restriction is isomorphic to a member but has another
+    # table, so the exact-table dedups of the oracle enumerate it
+    calls = _count_congruence_enumerations(monkeypatch)
+    oracle = closure_members_oracle(eca(number), SearchBounds(*bounds))
+    oracle_calls, calls["all"] = calls["all"], 0
+    assert _outcome(closure_members(eca(number), SearchBounds(*bounds))) == _outcome(oracle)
+    assert calls["all"] == oracle_calls - skipped
+
+
+@pytest.mark.parametrize("number", [60, 150])
+def test_closure_with_a_product_equal_to_a_power(number):
+    generator = eca(number)
+    assert iterative_power(generator, 2).table == product([generator, generator]).table
+    bounds = SearchBounds(2, 2, 16)
+    assert (_outcome(closure_members(generator, bounds))
+            == _outcome(closure_members_oracle(generator, bounds)))
+
+
+def test_closure_with_capped_congruence_enumeration(monkeypatch):
+    calls = _count_congruence_enumerations(monkeypatch)
+    bounds, caps = SearchBounds(2, 2, 8), Caps(lattice_cap=3)
+    inventory = closure_members(eca(9), bounds, caps)
+    assert calls["capped"] and not inventory.complete
+    assert _outcome(inventory) == _outcome(closure_members_oracle(eca(9), bounds, caps))
 
 
 def test_simulates_singleton_always():
