@@ -77,9 +77,15 @@ class LocalAlgebra:
             raise ValueError("state count must be at least 1")
         if self.r < 0:
             raise ValueError("radius must be nonnegative")
+        size = len(self.table)
+        # m >= 2 and 2r+1 >= size.bit_length() give m^(2r+1) > size; a count that
+        # may pass 64 bits (a huge radius) is named, since computing it can hang
+        if (self.m > 1 and self.arity >= size.bit_length()
+                and self.arity * (self.m - 1).bit_length() > 64):
+            raise ValueError(f"table length {size} != m^(2r+1) = {self.m}^{self.arity}")
         expected = self.m ** self.arity
-        if len(self.table) != expected:
-            raise ValueError(f"table length {len(self.table)} != m^(2r+1) = {expected}")
+        if size != expected:
+            raise ValueError(f"table length {size} != m^(2r+1) = {expected}")
         bad = first_out_of_range(self.table, self.m)
         if bad is not None:
             raise ValueError(f"table output {self.table[bad]} out of range")
@@ -87,6 +93,32 @@ class LocalAlgebra:
     @property
     def arity(self) -> int:
         return 2 * self.r + 1
+
+    @functools.cached_property
+    def _signatures(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Relabeling-invariant unary fingerprint per state, used to prune
+        isomorphism search: orbit shape under s -> f(s,...,s), in-degree of
+        the diagonal map, and how often the state occurs as an output.
+        Computed once per algebra object, like `_fingerprint`."""
+        diag = _diagonal(self)
+        indeg = collections.Counter(diag)
+        occurrences = collections.Counter(self.table)
+        signatures = []
+        for s in range(self.m):
+            seen = {s: 0}
+            x = s
+            while True:
+                x = diag[x]
+                if x in seen:
+                    tail, cycle = seen[x], len(seen) - seen[x]
+                    break
+                seen[x] = len(seen)
+            signatures.append((tail, cycle, indeg[s], occurrences[s]))
+        return tuple(signatures)
+
+    @functools.cached_property
+    def _fingerprint(self) -> tuple:
+        return (self.m, self.r, tuple(sorted(self._signatures)))
 
     @staticmethod
     def from_function(m: int, r: int, fn: Callable[..., int]) -> "LocalAlgebra":
@@ -368,13 +400,9 @@ def evolve(algebra: LocalAlgebra, word: Sequence[int], background: int = 0,
         raise ValueError(f"state {word[bad]} out of range for m={m}")
     if first_out_of_range((background,), m) is not None:
         raise ValueError(f"background state {background} out of range")
-    if steps < 0:
-        raise ValueError("step count must be nonnegative")
     if mode not in ("background", "cyclic"):
         raise ValueError("mode must be 'background' or 'cyclic'")
-    width = len(word) + (2 * steps * r if mode == "background" else 0)
-    require((steps + 1) * width <= caps.table_cap,
-            f"space-time diagram needs {steps + 1}x{width} cells, cap {caps.table_cap}")
+    _require_diagram(steps, len(word) + (2 * steps * r if mode == "background" else 0), caps)
     diagonal = _diagonal(algebra)
     backgrounds = [background]
     for _ in range(steps):
@@ -393,6 +421,15 @@ def evolve(algebra: LocalAlgebra, word: Sequence[int], background: int = 0,
     rows = [(b,) * ((steps - t) * r) + win + (b,) * ((steps - t) * r)
             for t, (win, b) in enumerate(zip(windows, backgrounds))]
     return SpaceTimeDiagram(m, tuple(rows), -steps * r, tuple(backgrounds), "background")
+
+
+def _require_diagram(steps: int, width: int, caps: Caps) -> None:
+    """Refuse a negative step count, then a space-time diagram of more
+    than `table_cap` cells."""
+    if steps < 0:
+        raise ValueError("step count must be nonnegative")
+    require((steps + 1) * width <= caps.table_cap,
+            f"space-time diagram needs {steps + 1}x{width} cells, cap {caps.table_cap}")
 
 
 @dataclass(frozen=True)
@@ -707,34 +744,9 @@ def idempotents(algebra: LocalAlgebra) -> list[int]:
     return [s for s, image in enumerate(_diagonal(algebra)) if image == s]
 
 
-@functools.lru_cache(maxsize=8)
-def _diagonal_signature(algebra: LocalAlgebra) -> tuple[tuple[int, int, int, int], ...]:
-    """Relabeling-invariant unary fingerprint per state, used to prune
-    isomorphism search: orbit shape under s -> f(s,...,s), in-degree of
-    the diagonal map, and how often the state occurs as an output.
-    Cached for the last eight algebras, since a fingerprint check and
-    the isomorphism search after it both read both sides' signatures."""
-    m = algebra.m
-    diag = _diagonal(algebra)
-    indeg = collections.Counter(diag)
-    occurrences = collections.Counter(algebra.table)
-    signatures = []
-    for s in range(m):
-        seen = {s: 0}
-        x = s
-        while True:
-            x = diag[x]
-            if x in seen:
-                tail, cycle = seen[x], len(seen) - seen[x]
-                break
-            seen[x] = len(seen)
-        signatures.append((tail, cycle, indeg[s], occurrences[s]))
-    return tuple(signatures)
-
-
 def algebra_fingerprint(algebra: LocalAlgebra) -> tuple:
     """Cheap isomorphism invariant: size, radius and sorted state signatures."""
-    return (algebra.m, algebra.r, tuple(sorted(_diagonal_signature(algebra))))
+    return algebra._fingerprint
 
 
 def are_isomorphic(a: LocalAlgebra, b: LocalAlgebra,
@@ -751,10 +763,9 @@ def are_isomorphic(a: LocalAlgebra, b: LocalAlgebra,
     if a.table == b.table:
         return tuple(range(m))
     require(m <= caps.iso_cap, f"isomorphism search needs m <= {caps.iso_cap}, got {m}")
-    sig_a = _diagonal_signature(a)
-    sig_b = _diagonal_signature(b)
-    if sorted(sig_a) != sorted(sig_b):
+    if a._fingerprint != b._fingerprint:
         return None
+    sig_a, sig_b = a._signatures, b._signatures
     candidates = [[t for t in range(m) if sig_b[t] == sig_a[s]] for s in range(m)]
 
     def propagate(phi: list[int], used: list[bool]) -> bool:

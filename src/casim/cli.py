@@ -350,6 +350,7 @@ def _cmd_evolve(io: _Io, caps: Caps) -> int:
         length = int(boundary.split(":", 1)[1])
         if length < len(word):
             raise ValueError("cyclic length is shorter than the initial word")
+        ca_core._require_diagram(io.args.steps, length, caps)  # before the ring is built
         pad = length - len(word)
         ring = (0,) * (pad // 2) + word + (0,) * (pad - pad // 2)
         diagram = ca_core.evolve(algebra, ring, 0, io.args.steps, "cyclic", caps)
@@ -407,9 +408,9 @@ def _cmd_quotient(io: _Io, caps: Caps) -> int:
     # search all congruences of --of for one whose quotient matches stdin
     primary = as_table(io.algebra(), caps)
     for congruence in ca_core.enumerate_congruences(big, caps):
-        result = ca_core.quotient(congruence)
-        if result.m != primary.m:
+        if len(congruence.blocks) != primary.m:
             continue
+        result = ca_core.quotient(congruence)
         witness = ca_core.are_isomorphic(result, primary, caps.scaled_to(result.m))
         if witness is not None:
             io.emit(f"classes {congruence}\n")

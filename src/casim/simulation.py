@@ -72,24 +72,22 @@ class Derivation:
 
 
 class _Powers:
-    """Iterative powers B^[n] of one generator, each built once, and the
-    products of them that derivations name."""
+    """Iterative powers of one generator and their products, in one table
+    keyed by exponent tuple: (n,) is B^[n]; each is built once."""
 
     def __init__(self, generator: LocalAlgebra, caps: Caps) -> None:
         self.generator = generator
         self.caps = caps
-        self._built: dict[int, LocalAlgebra] = {}
-
-    def power(self, n: int) -> LocalAlgebra:
-        if n not in self._built:
-            self._built[n] = ca_core.iterative_power(self.generator, n, self.caps)
-        return self._built[n]
+        self._built: dict[tuple[int, ...], LocalAlgebra] = {}
 
     def product(self, exponents: Sequence[int]) -> LocalAlgebra:
-        """B^[n_1] x ... x B^[n_k]; a single factor is returned as is."""
-        if len(exponents) == 1:
-            return self.power(exponents[0])
-        return ca_core.product([self.power(n) for n in exponents], self.caps)
+        """B^[n_1] x ... x B^[n_k]; a single factor is B^[n_1] itself."""
+        key = tuple(exponents)
+        if key not in self._built:
+            self._built[key] = (
+                ca_core.iterative_power(self.generator, key[0], self.caps) if len(key) == 1
+                else ca_core.product([self.product((n,)) for n in key], self.caps))
+        return self._built[key]
 
 
 def replay_derivation(generator: LocalAlgebra, derivation: Derivation,
@@ -133,29 +131,29 @@ class ClosureInventory:
 
 class _IsoMatcher:
     """Isomorphism testing ladder shared by dedup and verdict search:
-    table equality, then the affine conjugacy fast path, then general
+    fingerprints, table equality, the affine conjugacy fast path, then
     backtracking search, with `iso_cap` raised to the size compared."""
 
     def __init__(self, caps: Caps) -> None:
         self.caps = caps
-        self._affine_cache: dict[tuple, AffineAlgebra | None] = {}
+        self._affine_cache: dict[LocalAlgebra, AffineAlgebra | None] = {}
 
     def _affine_form(self, algebra: LocalAlgebra) -> AffineAlgebra | None:
-        key = (algebra.m, algebra.r, algebra.table)
-        if key not in self._affine_cache:
+        form = self._affine_cache.get(algebra, False)  # None is a cached result
+        if form is False:
             # m > 1: find returns at equal tables first, and all 1-state tables are equal
             p = smallest_prime_factor(algebra.m)
             power_of_p = affine_ca._dimension_over(algebra.m, p) is not None
-            self._affine_cache[key] = affine_ca.fit_affine(algebra, p) if power_of_p else None
-        return self._affine_cache[key]
+            form = self._affine_cache[algebra] = (
+                affine_ca.fit_affine(algebra, p) if power_of_p else None)
+        return form
 
     def find(self, a: LocalAlgebra, b: LocalAlgebra) -> Word | None:
-        if a.m != b.m or a.r != b.r:
+        # the fingerprint carries m and r, and equal tables have equal ones
+        if ca_core.algebra_fingerprint(a) != ca_core.algebra_fingerprint(b):
             return None
         if a.table == b.table:
             return tuple(range(a.m))
-        if ca_core.algebra_fingerprint(a) != ca_core.algebra_fingerprint(b):
-            return None
         form_a = self._affine_form(a)
         if form_a is not None and (form_b := self._affine_form(b)) is not None:
             witness = affine_ca.affine_isomorphism(form_a, form_b, self.caps)
@@ -173,7 +171,8 @@ def closure_members(generator: LocalAlgebra, bounds: SearchBounds = DEFAULT_BOUN
     normal-form order: powers, then products, then subalgebras, then
     quotients.  Members are deduplicated up to isomorphism and keep the
     first derivation that produced them; generation order is fixed, so
-    the inventory is deterministic.
+    the inventory is deterministic.  It is cached per (generator, bounds,
+    caps) call: a repeated call returns the same object, with its bounds.
 
     The member registry (fingerprint buckets, then `_IsoMatcher`) is the
     only dedup, and it also skips a restriction isomorphic to a member
@@ -182,29 +181,29 @@ def closure_members(generator: LocalAlgebra, bounds: SearchBounds = DEFAULT_BOUN
     registered when R1 was enumerated in full, and its congruence lattice
     is an interval of Con(R1), so it hits no cap that R1's did not.
     """
-    size_cap = bounds.effective_size_cap(generator.m)
-    cache_key = (generator.m, generator.r, generator.table,
-                 bounds.n_max, bounds.k_max, size_cap, caps)
+    cache_key = (generator, bounds, caps)
     cached = _INVENTORY_CACHE.get(cache_key)
     if cached is not None:
         return cached
+    size_cap = bounds.effective_size_cap(generator.m)
     scaled = caps.scaled_to(size_cap)
     # skipping by the stated bounds is not incompleteness; only internal
     # cap truncation makes the inventory partial
     complete = True
     powers = _Powers(generator, caps)
 
-    members: list[ClosureMember] = []
-    by_fingerprint: dict[tuple, list[int]] = {}
+    members: dict[LocalAlgebra, ClosureMember] = {}  # by value: equal ones need no fingerprint
+    by_fingerprint: dict[tuple, list[LocalAlgebra]] = {}
     matcher = _IsoMatcher(caps)
 
     def known(algebra: LocalAlgebra) -> bool:
-        return any(matcher.find(members[index].algebra, algebra) is not None
-                   for index in by_fingerprint.get(ca_core.algebra_fingerprint(algebra), ()))
+        return algebra in members or any(
+            matcher.find(member, algebra) is not None
+            for member in by_fingerprint.get(ca_core.algebra_fingerprint(algebra), ()))
 
     def append(algebra: LocalAlgebra, derivation: Derivation) -> None:
-        by_fingerprint.setdefault(ca_core.algebra_fingerprint(algebra), []).append(len(members))
-        members.append(ClosureMember(algebra, derivation))
+        by_fingerprint.setdefault(ca_core.algebra_fingerprint(algebra), []).append(algebra)
+        members[algebra] = ClosureMember(algebra, derivation)
 
     for k in range(1, bounds.k_max + 1):
         for multiset in itertools.combinations_with_replacement(
@@ -236,7 +235,7 @@ def closure_members(generator: LocalAlgebra, bounds: SearchBounds = DEFAULT_BOUN
                     if not known(algebra := ca_core.quotient(congruence)):
                         append(algebra, Derivation(multiset, carrier, congruence.blocks))
 
-    inventory = ClosureInventory(generator, bounds, tuple(members), complete)
+    inventory = ClosureInventory(generator, bounds, tuple(members.values()), complete)
     _INVENTORY_CACHE[cache_key] = inventory
     return inventory
 

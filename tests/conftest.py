@@ -7,7 +7,7 @@ from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, _affine_outputs,
                              _bijection_conjugates, _dimension_over, _relabeled_table,
                              classify_affine, e0_evolution, fit_affine, quotient_affine,
                              subalgebra_affine, to_table)
-from casim import ca_core
+from casim import ca_core, simulation
 from casim.caps import DEFAULT_CAPS, CapExceeded, require
 from casim.ca_core import (Congruence, LocalAlgebra, SpaceTimeDiagram, TranslationCheck,
                            are_isomorphic, canonical_partition, decode_word, encode_word,
@@ -15,6 +15,13 @@ from casim.ca_core import (Congruence, LocalAlgebra, SpaceTimeDiagram, Translati
 from casim.fp_linalg import FpMatrix, Subspace, invariant_closure, is_prime
 from casim.simulation import (ClosureInventory, ClosureMember, Derivation, _IsoMatcher,
                               _Powers)
+
+
+@pytest.fixture(autouse=True)
+def empty_inventory_cache(monkeypatch):
+    """Every test starts from an empty closure inventory cache, so no
+    answer depends on which tests ran before it."""
+    monkeypatch.setattr(simulation, "_INVENTORY_CACHE", {})
 
 
 @pytest.fixture

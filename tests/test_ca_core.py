@@ -145,8 +145,13 @@ def test_wolfram_convention():
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^table length 7 != m\^\(2r\+1\) = 8$"):
         LocalAlgebra(2, 1, (0,) * 7)
+    # a count that a huge radius makes enormous is named, not computed
+    for m, r in ((10 ** 9, 3 * 10 ** 6), (1000, 2000)):
+        count = rf"{m}\^{2 * r + 1}"
+        with pytest.raises(ValueError, match=rf"^table length 1 != m\^\(2r\+1\) = {count}$"):
+            LocalAlgebra(m, r, (0,))
     with pytest.raises(ValueError, match=r"^table output 2 out of range$"):
         LocalAlgebra(2, 1, (0,) * 7 + (2,))
     # one output too large and one negative: whichever comes first in
@@ -420,6 +425,9 @@ def test_evolve_validation():
                                       ((0, 1), 0.5, "background state 0.5 out of range")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             evolve(eca(110), word, background, 2)
+    for mode in ("background", "cyclic"):
+        with pytest.raises(ValueError, match="^step count must be nonnegative$"):
+            evolve(eca(110), (0, 1), 0, -1, mode)
     assert evolve(eca(110), (True, False), True, 2) == evolve(eca(110), (1, 0), 1, 2)
 
 
@@ -768,6 +776,27 @@ def test_iso_is_equivalence(rng):
             relabeled = [b.apply([ab[x] for x in nb])
                          for nb in itertools.product(range(3), repeat=3)]
             assert relabeled == [ab[x] for x in a.table]
+
+
+def test_signatures_computed_once_per_algebra(monkeypatch):
+    calls = []
+    diagonal = ca_core._diagonal
+
+    def counted(algebra):
+        calls.append(algebra)
+        return diagonal(algebra)
+
+    monkeypatch.setattr(ca_core, "_diagonal", counted)
+    # more algebras than a small LRU cache would hold, each read repeatedly
+    algebras = [LocalAlgebra.from_function(3, 1, lambda x, y, z, c=c: x + 2 * z + c * y)
+                for c in range(3)] + [eca(n) for n in (30, 45, 75, 86, 89, 101, 135, 149)]
+    pairs = [(a, _relabeled_table(a, list(range(a.m))[::-1])) for a in algebras]
+    for _ in range(2):
+        for a, b in pairs:
+            ca_core.algebra_fingerprint(a)
+            are_isomorphic(a, b)
+            ca_core.algebra_fingerprint(b)
+    assert sorted(map(id, calls)) == sorted(id(x) for pair in pairs for x in pair)
 
 
 def test_iso_cap():

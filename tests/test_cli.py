@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from casim import cli
+from casim import ca_core, cli
 from casim.affine_ca import (_relabeled_table, canonical_additive, component_matrices,
                              fit_affine, to_table)
-from casim.ca_core import LocalAlgebra, are_isomorphic, eca, evolve, iterative_power
+from casim.ca_core import (LocalAlgebra, are_isomorphic, eca, evolve, iterative_power,
+                           product)
 from casim.caps import Caps
 from casim.fp_linalg import FpMatrix
 from conftest import (matrix_lines_oracle, parse_table_oracle, print_ca_oracle,
@@ -48,6 +49,18 @@ def test_affine_roundtrip():
     text = cli.print_affine(affine)
     assert cli.parse_affine(text) == affine
     assert cli.print_affine(cli.parse_affine(text)) == text
+
+
+def test_huge_radius_refused_before_its_table_count():
+    # m^(2r+1) has 54 million digits here: the file is refused at once
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for states, radius in ((1000000000, 3000000), (1000, 2000)):
+        text = f"CA v1\nstates {states}\nradius {radius}\ntable-list 0\n"
+        result = subprocess.run([sys.executable, "-m", "casim", "show"], input=text,
+                                capture_output=True, text=True, env=env, timeout=10)
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == (f"casim: line 4: table length 1 != m^(2r+1) = "
+                                 f"{states}^{2 * radius + 1}\n")
 
 
 def test_parse_errors_carry_line_numbers():
@@ -248,6 +261,27 @@ def test_cmd_quotient_check(monkeypatch, capsys, tmp_path, z4_text):
     assert code == 2 and out == "" and "--of" in err and "Traceback" not in err
 
 
+def test_cmd_quotient_of_builds_only_quotients_of_the_target_size(monkeypatch, capsys,
+                                                                  tmp_path):
+    # B x B^[2] of ECA 150 has 16 congruences, finest first; only those
+    # with two blocks are quotiented and compared with ECA 150
+    of = tmp_path / "big.ca"
+    of.write_text(cli.print_ca(product([eca(150), iterative_power(eca(150), 2)])),
+                  encoding="ascii")
+    quotient_of = ca_core.quotient
+    built = []
+
+    def counted(congruence):
+        built.append(len(congruence.blocks))
+        return quotient_of(congruence)
+
+    monkeypatch.setattr(ca_core, "quotient", counted)
+    code, out, err = run_cli(["quotient", "--of", str(of)], cli.print_ca(eca(150)),
+                             monkeypatch, capsys)
+    assert (code, err) == (0, "") and out.endswith("RESULT: PASS\n")
+    assert built == [2]
+
+
 def test_cmd_quotient_of_ignores_empty_stdin(monkeypatch, capsys, tmp_path, z4_text):
     # printing a quotient of --of never consults the stdin algebra
     z4file = tmp_path / "z4.ca"
@@ -327,7 +361,14 @@ def test_simple_and_evolve_gated_before_work(monkeypatch, capsys):
             (["simple", "-n", "15"], rule,
              "7174453 one-dimensional subspaces exceed cap 1000000"),
             (["evolve", "--init", "1", "--steps", "5000"], ca30,
-             "space-time diagram needs 5001x10001 cells, cap 10000000")):
+             "space-time diagram needs 5001x10001 cells, cap 10000000"),
+            # a cyclic ring is refused before it is padded to its length
+            (["evolve", "--init", "1", "--steps", "10", "--boundary", "cyclic:1000000000000"],
+             ca30, "space-time diagram needs 11x1000000000000 cells, cap 10000000"),
+            (["evolve", "--init", "1", "--steps", "10", "--boundary", "cyclic:100000000"],
+             ca30, "space-time diagram needs 11x100000000 cells, cap 10000000"),
+            (["evolve", "--init", "1", "--steps", "-1", "--boundary", "cyclic:1000000000000"],
+             ca30, "step count must be nonnegative")):
         start = time.perf_counter()
         code, out, err = run_cli(argv, text, monkeypatch, capsys)
         assert time.perf_counter() - start < 1.0

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from casim import ca_core, simulation
+from casim import ca_core
 from casim.affine_ca import (AffineAlgebra, _bijection_conjugates, _relabeled_table,
                              canonical_additive, fit_affine, to_table)
 from casim.caps import DEFAULT_CAPS, CapExceeded, Caps
@@ -49,6 +49,14 @@ def test_iso_matcher_lifts_iso_cap_to_the_size_compared(rng):
     assert _bijection_conjugates(a, b, witness)
     with pytest.raises(CapExceeded):
         are_isomorphic(a, b, DEFAULT_CAPS)
+
+
+def test_equal_tables_of_different_shapes_are_not_isomorphic():
+    table = (0, 1) * 4
+    a, b = LocalAlgebra(8, 0, table), LocalAlgebra(2, 1, table)
+    assert ca_core.algebra_fingerprint(a) != ca_core.algebra_fingerprint(b)
+    assert are_isomorphic(a, b) is None
+    assert _IsoMatcher(DEFAULT_CAPS).find(a, b) is None
 
 
 def test_closure_of_singleton():
@@ -101,10 +109,9 @@ def test_closure_is_closed_at_bounds(z4_rule):
 
 
 def _outcome(inventory):
-    """Members, in order, with their first derivations, and `complete`;
-    not `bounds`, which a cached inventory keeps from the call that
-    built it."""
-    return inventory.members, inventory.complete
+    """Members, in order, with their first derivations, `complete` and
+    `bounds`."""
+    return inventory.members, inventory.complete, inventory.bounds
 
 
 @pytest.mark.parametrize("m, bounds", [(2, (2, 1)), (2, (1, 2)), (2, (2, 2, 8)), (3, (1, 1))])
@@ -117,9 +124,8 @@ def test_closure_matches_brute_force_oracle(m, bounds):
 
 
 def _count_congruence_enumerations(monkeypatch):
-    """Start closures cold and count `enumerate_congruences` calls,
-    and the calls among them that raise CapExceeded."""
-    monkeypatch.setattr(simulation, "_INVENTORY_CACHE", {})
+    """Count `enumerate_congruences` calls, and the calls among them that
+    raise CapExceeded; the inventory cache starts empty in every test."""
     calls = {"all": 0, "capped": 0}
     enumerate_all = ca_core.enumerate_congruences
 
@@ -298,6 +304,53 @@ def test_inventory_cache_returns_identical_object():
     first = closure_members(eca(150), SMALL)
     second = closure_members(eca(150), SMALL)
     assert first is second
+
+
+def test_inventory_cache_keeps_the_callers_bounds():
+    # (2, 2) and (2, 2, 16) search the same products of ECA 150, but each
+    # call gets an inventory with its own bounds, and equal bounds share one
+    default = closure_members(eca(150), SearchBounds(2, 2))
+    capped = closure_members(eca(150), SearchBounds(2, 2, 16))
+    assert default.bounds == SearchBounds(2, 2)
+    assert capped.bounds == SearchBounds(2, 2, 16)
+    assert capped.members == default.members
+    assert closure_members(eca(150), SearchBounds(2, 2, None)) is default
+
+
+def test_closure_fingerprints_no_copy_of_a_member(monkeypatch):
+    # most restrictions and quotients of ECA 150's products equal a
+    # member; the registry finds those by value, without a fingerprint
+    fingerprinted = []
+    fingerprint = ca_core.algebra_fingerprint
+
+    def counted(algebra):
+        fingerprinted.append(algebra)
+        return fingerprint(algebra)
+
+    monkeypatch.setattr(ca_core, "algebra_fingerprint", counted)
+    inventory = closure_members(eca(150), SearchBounds(2, 2, 16))
+    members = [member.algebra for member in inventory.members]
+    copies = [a for a in fingerprinted if a in members and not any(a is m for m in members)]
+    assert fingerprinted and copies == []
+
+
+def test_characterization_builds_each_product_once(monkeypatch):
+    # F_3 x + z is not doubly bijective: its 9-state members match no
+    # power, so each tries B x B, which one report builds once
+    rule = canonical_additive(3, [1, 0, 1])
+    bounds = SearchBounds(2, 2, 27)
+    closure_members(rule.to_table(), bounds)
+    built = []
+    product_of = ca_core.product
+
+    def counted(algebras, caps):
+        built.append(tuple(algebras))
+        return product_of(algebras, caps)
+
+    monkeypatch.setattr(ca_core, "product", counted)
+    report = verify_characterization(rule, bounds)
+    assert len(report.violations()) > 1
+    assert built and len(set(built)) == len(built)
 
 
 def _random_affine(rng, p, d):
