@@ -17,13 +17,15 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import ca_core
 from .ca_core import LocalAlgebra
 from .caps import DEFAULT_CAPS, Caps, require
-from .fp_linalg import FpMatrix, Subspace, first_out_of_range, is_prime, nullspace_basis, solve
+from .fp_linalg import (FpMatrix, Subspace, first_out_of_range, is_prime, nullspace_basis,
+                        smallest_prime_factor, solve)
 
 Vector = tuple[int, ...]
 
@@ -241,11 +243,28 @@ def fit_affine(algebra: LocalAlgebra, p: int) -> AffineAlgebra | None:
     return candidate
 
 
+# weak keys: an entry goes with its algebra object, so the memo keeps no table alive
+_AFFINE_FORMS: weakref.WeakKeyDictionary[LocalAlgebra, AffineAlgebra | None] = (
+    weakref.WeakKeyDictionary())
+
+
+def _affine_form(algebra: LocalAlgebra) -> AffineAlgebra | None:
+    """The affine form over the least prime p dividing m (m > 1), or None
+    when m is not a power of p or the table is not affine.  Fitted once
+    per algebra value while an algebra holding that value lives."""
+    form = _AFFINE_FORMS.get(algebra, False)  # None is a remembered result
+    if form is False:
+        p = smallest_prime_factor(algebra.m)
+        form = _AFFINE_FORMS[algebra] = (
+            fit_affine(algebra, p) if _dimension_over(algebra.m, p) is not None else None)
+    return form
+
+
 def fit_canonical_additive(algebra: LocalAlgebra) -> CanonicalAdditive | None:
     """Canonical additive form (prime state count, linear, no constant)."""
     if not is_prime(algebra.m):
         return None
-    affine = fit_affine(algebra, algebra.m)
+    affine = _affine_form(algebra)  # a prime m is its own least prime factor
     if affine is None or not affine.is_additive():
         return None
     return canonical_additive(affine.p, [mat.entries[0][0] for mat in affine.components])

@@ -700,8 +700,6 @@ def enumerate_subalgebras(algebra: LocalAlgebra, caps: Caps = DEFAULT_CAPS) -> l
     known = set(generated)  # join_closure's members, all closed
 
     def join(c1: Word, c2: Word) -> Word:
-        if set(c2) <= set(c1):
-            return c1
         joined = _subalgebra_closure(algebra, c1 + c2, known)
         known.add(joined)
         return joined

@@ -422,7 +422,7 @@ def _cmd_quotient(io: _Io, caps: Caps) -> int:
 def _cmd_iso(io: _Io, caps: Caps) -> int:
     left = as_table(io.algebra(), caps)
     right = as_table(io.algebra(io.args.other), caps)
-    witness = simulation._IsoMatcher(caps).find(left, right)
+    witness = simulation._isomorphism(left, right, caps)
     if witness is not None:
         io.emit("iso " + ",".join(str(x) for x in witness) + "\n")
     return _verdict(io, witness is not None)
@@ -555,46 +555,31 @@ def _cmd_simulates(io: _Io, caps: Caps) -> int:
 def _cmd_verify(io: _Io, caps: Caps) -> int:
     bounds = _bounds_from_args(io.args)
     algebra = io.algebra()
-    if io.args.what == "characterization":
+    affine_closure = io.args.what == "affine-closure"
+    if affine_closure:
+        affine = as_affine(algebra)
+        report = simulation.verify_affine_closure(affine, bounds, caps)
+        if not report.applicable:
+            io.emit("NOT APPLICABLE: the rule lacks bijective outermost components "
+                    "(left witness strictly left of right witness)\n")
+        inputs = {"p": affine.p, "dim": affine.d, "radius": affine.r}
+    else:
         rule = as_canonical(algebra)
         report = simulation.verify_characterization(rule, bounds, caps)
-        if io.args.json:
-            _json_report(io, "verify characterization",
-                         {"p": rule.p, "coefficients": list(rule.coefficients)},
-                         bounds, "pass" if report.passed else "fail",
-                         items=[{
-                             "derivation": item.derivation.describe(),
-                             "size": item.size,
-                             "ok": item.ok,
-                             "note": item.note,
-                         } for item in report.items])
-        else:
-            for item in report.items:
-                status = "ok" if item.ok else "FAIL"
-                io.emit(f"{status} size {item.size}: {item.note} [{item.derivation.describe()}]\n")
-        return _verdict(io, report.passed)
-    # affine-closure
-    affine = as_affine(algebra)
-    report = simulation.verify_affine_closure(affine, bounds, caps)
-    if not report.applicable:
-        io.emit("NOT APPLICABLE: the rule lacks bijective outermost components "
-                "(left witness strictly left of right witness)\n")
+        inputs = {"p": rule.p, "coefficients": list(rule.coefficients)}
     if io.args.json:
-        _json_report(io, "verify affine-closure",
-                     {"p": affine.p, "dim": affine.d, "radius": affine.r},
-                     bounds, "pass" if report.passed else "fail",
-                     items=[{
-                         "derivation": item.derivation.describe(),
-                         "size": item.size,
-                         "affine": item.affine,
-                         "witnesses": list(item.witnesses),
-                         "ok": item.ok,
-                         "note": item.note,
-                     } for item in report.items])
+        _json_report(io, f"verify {io.args.what}", inputs, bounds,
+                     "pass" if report.passed else "fail",
+                     items=[{"derivation": item.derivation.describe(), "size": item.size,
+                             "ok": item.ok, "note": item.note,
+                             **({"affine": item.affine, "witnesses": list(item.witnesses)}
+                                if affine_closure else {})}
+                            for item in report.items])
     else:
         for item in report.items:
             status = "ok" if item.ok else "FAIL"
-            io.emit(f"{status} size {item.size}: {item.note}, witnesses {item.witnesses} "
+            witnesses = f", witnesses {item.witnesses}" if affine_closure else ""
+            io.emit(f"{status} size {item.size}: {item.note}{witnesses} "
                     f"[{item.derivation.describe()}]\n")
     return _verdict(io, report.passed)
 

@@ -26,7 +26,6 @@ from . import affine_ca, ca_core
 from .affine_ca import AffineAlgebra, CanonicalAdditive
 from .ca_core import Congruence, LocalAlgebra, Word
 from .caps import DEFAULT_CAPS, CapExceeded, Caps, require
-from .fp_linalg import smallest_prime_factor
 
 
 @dataclass(frozen=True)
@@ -129,37 +128,22 @@ class ClosureInventory:
         return [member for member in self.members if member.size == size]
 
 
-class _IsoMatcher:
-    """Isomorphism testing ladder shared by dedup and verdict search:
+def _isomorphism(a: LocalAlgebra, b: LocalAlgebra, caps: Caps) -> Word | None:
+    """The isomorphism ladder shared by dedup and verdict search:
     fingerprints, table equality, the affine conjugacy fast path, then
     backtracking search, with `iso_cap` raised to the size compared."""
-
-    def __init__(self, caps: Caps) -> None:
-        self.caps = caps
-        self._affine_cache: dict[LocalAlgebra, AffineAlgebra | None] = {}
-
-    def _affine_form(self, algebra: LocalAlgebra) -> AffineAlgebra | None:
-        form = self._affine_cache.get(algebra, False)  # None is a cached result
-        if form is False:
-            # m > 1: find returns at equal tables first, and all 1-state tables are equal
-            p = smallest_prime_factor(algebra.m)
-            power_of_p = affine_ca._dimension_over(algebra.m, p) is not None
-            form = self._affine_cache[algebra] = (
-                affine_ca.fit_affine(algebra, p) if power_of_p else None)
-        return form
-
-    def find(self, a: LocalAlgebra, b: LocalAlgebra) -> Word | None:
-        # the fingerprint carries m and r, and equal tables have equal ones
-        if ca_core.algebra_fingerprint(a) != ca_core.algebra_fingerprint(b):
-            return None
-        if a.table == b.table:
-            return tuple(range(a.m))
-        form_a = self._affine_form(a)
-        if form_a is not None and (form_b := self._affine_form(b)) is not None:
-            witness = affine_ca.affine_isomorphism(form_a, form_b, self.caps)
-            if witness is not None:
-                return witness
-        return ca_core.are_isomorphic(a, b, self.caps.scaled_to(a.m))
+    # the fingerprint carries m and r, and equal tables have equal ones
+    if ca_core.algebra_fingerprint(a) != ca_core.algebra_fingerprint(b):
+        return None
+    if a.table == b.table:
+        return tuple(range(a.m))
+    # m > 1 here, since all 1-state tables of one radius are equal
+    form_a = affine_ca._affine_form(a)
+    if form_a is not None and (form_b := affine_ca._affine_form(b)) is not None:
+        witness = affine_ca.affine_isomorphism(form_a, form_b, caps)
+        if witness is not None:
+            return witness
+    return ca_core.are_isomorphic(a, b, caps.scaled_to(a.m))
 
 
 _INVENTORY_CACHE: dict[tuple, ClosureInventory] = {}
@@ -174,7 +158,7 @@ def closure_members(generator: LocalAlgebra, bounds: SearchBounds = DEFAULT_BOUN
     the inventory is deterministic.  It is cached per (generator, bounds,
     caps) call: a repeated call returns the same object, with its bounds.
 
-    The member registry (fingerprint buckets, then `_IsoMatcher`) is the
+    The member registry (fingerprint buckets, then `_isomorphism`) is the
     only dedup, and it also skips a restriction isomorphic to a member
     R1/theta before its congruences are enumerated.  That loses nothing:
     each of its quotients is isomorphic to some R1/psi with psi >= theta,
@@ -185,36 +169,41 @@ def closure_members(generator: LocalAlgebra, bounds: SearchBounds = DEFAULT_BOUN
     cached = _INVENTORY_CACHE.get(cache_key)
     if cached is not None:
         return cached
-    size_cap = bounds.effective_size_cap(generator.m)
-    scaled = caps.scaled_to(size_cap)
+    m = generator.m
+    limit = bounds.n_max * bounds.k_max  # the largest exponent total within the bounds
+    top = 0  # the largest exponent total whose product's table fits table_cap
+    while top < limit and (m ** (top + 1)) ** generator.arity <= caps.table_cap:
+        top += 1
+
+    def within_size_cap(total: int) -> bool:
+        return bounds.size_cap is None or m ** total <= bounds.size_cap
+
     # skipping by the stated bounds is not incompleteness; only internal
-    # cap truncation makes the inventory partial
-    complete = True
+    # cap truncation makes the inventory partial, and the smallest product
+    # that table_cap cuts off has exponent total top + 1
+    complete = not (top < limit and within_size_cap(top + 1))
     powers = _Powers(generator, caps)
 
     members: dict[LocalAlgebra, ClosureMember] = {}  # by value: equal ones need no fingerprint
     by_fingerprint: dict[tuple, list[LocalAlgebra]] = {}
-    matcher = _IsoMatcher(caps)
 
     def known(algebra: LocalAlgebra) -> bool:
         return algebra in members or any(
-            matcher.find(member, algebra) is not None
+            _isomorphism(member, algebra, caps) is not None
             for member in by_fingerprint.get(ca_core.algebra_fingerprint(algebra), ()))
 
     def append(algebra: LocalAlgebra, derivation: Derivation) -> None:
         by_fingerprint.setdefault(ca_core.algebra_fingerprint(algebra), []).append(algebra)
         members[algebra] = ClosureMember(algebra, derivation)
 
-    for k in range(1, bounds.k_max + 1):
+    for k in range(1, min(bounds.k_max, top) + 1):
         for multiset in itertools.combinations_with_replacement(
-                range(1, bounds.n_max + 1), k):
-            size = generator.m ** sum(multiset)
-            if size > size_cap:
-                continue
-            if size ** generator.arity > caps.table_cap:
-                complete = False
+                range(1, min(bounds.n_max, top) + 1), k):
+            if sum(multiset) > top or not within_size_cap(sum(multiset)):
                 continue
             prod = powers.product(multiset)
+            # gates raised to the product also cover its restrictions
+            scaled = caps.scaled_to(prod.m)
             try:
                 carriers = ca_core.enumerate_subalgebras(prod, scaled)
             except CapExceeded:
@@ -305,14 +294,14 @@ def _partitions_with_parts(total: int, coprime_to: int | None = None) -> Iterato
     return recurse(total, total)
 
 
-def _power_product_match(powers: _Powers, matcher: _IsoMatcher, target: LocalAlgebra,
-                         exponent: int, coprime_to: int | None = None
+def _power_product_match(powers: _Powers, target: LocalAlgebra, exponent: int,
+                         coprime_to: int | None = None
                          ) -> tuple[tuple[int, ...], Word] | None:
     """The first multiset of exponents summing to `exponent` (in
     `_partitions_with_parts` order) whose product of powers is
     isomorphic to `target`, with the isomorphism, or None."""
     for multiset in _partitions_with_parts(exponent, coprime_to):
-        iso = matcher.find(powers.product(multiset), target)
+        iso = _isomorphism(powers.product(multiset), target, powers.caps)
         if iso is not None:
             return multiset, iso
     return None
@@ -333,7 +322,6 @@ def simulates(target: LocalAlgebra, simulator: LocalAlgebra,
     """
     if target.r != simulator.r:
         raise ValueError("simulation is defined between algebras of equal radius")
-    matcher = _IsoMatcher(caps)
     if target.m == 1:
         witness = SimulationWitness(
             Derivation((1,), _full_carrier(simulator), (_full_carrier(simulator),)), (0,))
@@ -343,10 +331,10 @@ def simulates(target: LocalAlgebra, simulator: LocalAlgebra,
             "no", reason="a singleton simulator generates only singleton algebras")
     canonical = affine_ca.fit_canonical_additive(simulator)
     if canonical is not None and affine_ca.is_doubly_bijective(canonical):
-        return _decide_doubly_bijective(target, simulator, canonical, matcher, caps)
+        return _decide_doubly_bijective(target, simulator, canonical, caps)
     inventory = closure_members(simulator, bounds, caps)
     for member in inventory.members_of_size(target.m):
-        iso = matcher.find(member.algebra, target)
+        iso = _isomorphism(member.algebra, target, caps)
         if iso is not None:
             return SimulationVerdict(
                 "yes", witness=SimulationWitness(member.derivation, iso))
@@ -356,8 +344,7 @@ def simulates(target: LocalAlgebra, simulator: LocalAlgebra,
 
 
 def _decide_doubly_bijective(target: LocalAlgebra, simulator: LocalAlgebra,
-                             canonical: CanonicalAdditive, matcher: _IsoMatcher,
-                             caps: Caps) -> SimulationVerdict:
+                             canonical: CanonicalAdditive, caps: Caps) -> SimulationVerdict:
     p = canonical.p
     exponent = affine_ca._dimension_over(target.m, p)
     if exponent is None:
@@ -367,8 +354,7 @@ def _decide_doubly_bijective(target: LocalAlgebra, simulator: LocalAlgebra,
                 f"{target.m} is not such a power"))
     require(target.m ** target.arity <= caps.table_cap,
             f"target table of {target.m ** target.arity} entries exceeds the cap")
-    match = _power_product_match(_Powers(simulator, caps), matcher, target,
-                                 exponent, coprime_to=p)
+    match = _power_product_match(_Powers(simulator, caps), target, exponent, coprime_to=p)
     if match is not None:
         multiset, iso = match
         derivation = Derivation(multiset, _full_carrier(target),
@@ -463,7 +449,6 @@ def verify_characterization(rule: CanonicalAdditive, bounds: SearchBounds = DEFA
         raise ValueError("the characterization check needs at least two nonzero coefficients")
     generator = rule.to_table()
     inventory = closure_members(generator, bounds, caps)
-    matcher = _IsoMatcher(caps)
     p = rule.p
     powers = _Powers(generator, caps)
     items = []
@@ -478,7 +463,7 @@ def verify_characterization(rule: CanonicalAdditive, bounds: SearchBounds = DEFA
                 member.derivation, member.size, False, None, None,
                 f"size {member.size} is not a power of {p}"))
             continue
-        match = _power_product_match(powers, matcher, member.algebra, exponent)
+        match = _power_product_match(powers, member.algebra, exponent)
         if match is None:
             items.append(CharacterizationItem(
                 member.derivation, member.size, False, None, None,
@@ -543,7 +528,7 @@ def _certify_affine(member: ClosureMember, p: int, caps: Caps) -> tuple[bool, st
     first = algebra.table[0]
     if all(x == first for x in algebra.table):
         return True, "constant table"
-    if affine_ca.fit_affine(algebra, p) is not None:
+    if affine_ca._affine_form(algebra) is not None:  # p is the least prime dividing m
         return True, "direct fit"
     if algebra.m <= caps.relabel_cap:
         if affine_ca.is_affine_up_to_iso(algebra, p, caps) is not None:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -7,21 +8,22 @@ from casim.affine_ca import (AffineAlgebra, CanonicalAdditive, _affine_outputs,
                              _bijection_conjugates, _dimension_over, _relabeled_table,
                              classify_affine, e0_evolution, fit_affine, quotient_affine,
                              subalgebra_affine, to_table)
-from casim import ca_core, simulation
+from casim import affine_ca, ca_core, simulation
 from casim.caps import DEFAULT_CAPS, CapExceeded, require
 from casim.ca_core import (Congruence, LocalAlgebra, SpaceTimeDiagram, TranslationCheck,
                            are_isomorphic, canonical_partition, decode_word, encode_word,
                            iterative_power, product, unravel, unpack)
-from casim.fp_linalg import FpMatrix, Subspace, invariant_closure, is_prime
-from casim.simulation import (ClosureInventory, ClosureMember, Derivation, _IsoMatcher,
-                              _Powers)
+from casim.fp_linalg import FpMatrix, Subspace, invariant_closure, is_prime, smallest_prime_factor
+from casim.simulation import ClosureInventory, ClosureMember, Derivation, _Powers
 
 
 @pytest.fixture(autouse=True)
 def empty_inventory_cache(monkeypatch):
-    """Every test starts from an empty closure inventory cache, so no
-    answer depends on which tests ran before it."""
+    """Every test starts from an empty closure inventory cache and an
+    empty affine-form memo, so no answer or count depends on which tests
+    ran before it."""
     monkeypatch.setattr(simulation, "_INVENTORY_CACHE", {})
+    monkeypatch.setattr(affine_ca, "_AFFINE_FORMS", weakref.WeakKeyDictionary())
 
 
 @pytest.fixture
@@ -385,11 +387,45 @@ def set_partitions(items):
         yield [[head]] + part
 
 
+class IsoMatcherOracle:
+    """The isomorphism ladder as `simulation._IsoMatcher` was, a per-call
+    object with its own affine-form cache: fingerprints, table equality,
+    the affine conjugacy fast path, then backtracking search, with
+    `iso_cap` raised to the size compared."""
+
+    def __init__(self, caps):
+        self.caps = caps
+        self._affine_cache = {}
+
+    def _affine_form(self, algebra):
+        form = self._affine_cache.get(algebra, False)  # None is a cached result
+        if form is False:
+            # m > 1: find returns at equal tables first, and all 1-state tables are equal
+            p = smallest_prime_factor(algebra.m)
+            power_of_p = _dimension_over(algebra.m, p) is not None
+            form = self._affine_cache[algebra] = (
+                affine_ca.fit_affine(algebra, p) if power_of_p else None)
+        return form
+
+    def find(self, a, b):
+        # the fingerprint carries m and r, and equal tables have equal ones
+        if ca_core.algebra_fingerprint(a) != ca_core.algebra_fingerprint(b):
+            return None
+        if a.table == b.table:
+            return tuple(range(a.m))
+        form_a = self._affine_form(a)
+        if form_a is not None and (form_b := self._affine_form(b)) is not None:
+            witness = affine_ca.affine_isomorphism(form_a, form_b, self.caps)
+            if witness is not None:
+                return witness
+        return ca_core.are_isomorphic(a, b, self.caps.scaled_to(a.m))
+
+
 def closure_members_oracle(generator, bounds, caps=DEFAULT_CAPS):
     """`simulation.closure_members` as it was with three dedups, and
     without the inventory cache: an exact-table set for products,
     another for restrictions, and the member registry on every quotient,
-    the discrete one included."""
+    the discrete one included, matched by the ladder oracle."""
     size_cap = bounds.effective_size_cap(generator.m)
     scaled = caps.scaled_to(size_cap)
     complete = True
@@ -397,7 +433,7 @@ def closure_members_oracle(generator, bounds, caps=DEFAULT_CAPS):
 
     members = []
     by_fingerprint = {}
-    matcher = _IsoMatcher(caps)
+    matcher = IsoMatcherOracle(caps)
 
     def register(algebra, derivation):
         fingerprint = ca_core.algebra_fingerprint(algebra)

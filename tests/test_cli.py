@@ -425,6 +425,20 @@ def test_cmd_simulates(monkeypatch, capsys, tmp_path):
     assert code == 3 and "RESULT: UNKNOWN" in out
 
 
+def test_simulates_with_huge_bounds_answers_within_the_table_cap(tmp_path):
+    # the closure walks only products whose tables fit --cap, and raises
+    # its enumeration gates to each product, not to (m^n_max)^k_max
+    target = tmp_path / "eca150.ca"
+    target.write_text(cli.print_ca(eca(150)), encoding="ascii")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for bounds in (["--n-max", "100000"], ["--n-max", "100000", "--k-max", "100000"]):
+        result = subprocess.run(
+            [sys.executable, "-m", "casim", "--cap", "4096", "simulates", str(target)] + bounds,
+            input=cli.print_ca(eca(90)), capture_output=True, text=True, env=env, timeout=10)
+        assert result.returncode == 3 and "RESULT: UNKNOWN" in result.stdout
+        assert "digits" not in result.stderr and "Traceback" not in result.stderr
+
+
 def test_cmd_verify_characterization(monkeypatch, capsys):
     _, rule, _ = run_cli(["canonical", "-p", "3", "-a", "2", "0", "1"], "",
                          monkeypatch, capsys)

@@ -1,19 +1,20 @@
+import gc
 import random
 
 import pytest
 
-from casim import ca_core
-from casim.affine_ca import (AffineAlgebra, _bijection_conjugates, _relabeled_table,
-                             canonical_additive, fit_affine, to_table)
+from casim import affine_ca, ca_core
+from casim.affine_ca import (AffineAlgebra, _bijection_conjugates, _dimension_over,
+                             _relabeled_table, canonical_additive, fit_affine, to_table)
 from casim.caps import DEFAULT_CAPS, CapExceeded, Caps
 from casim.ca_core import (LocalAlgebra, are_isomorphic, eca, enumerate_congruences,
                            enumerate_subalgebras, iterative_power, product, quotient,
                            restrict, singleton)
-from casim.fp_linalg import FpMatrix
-from casim.simulation import (SearchBounds, _IsoMatcher, classify_canonical, closure_members,
+from casim.fp_linalg import FpMatrix, smallest_prime_factor
+from casim.simulation import (SearchBounds, _isomorphism, classify_canonical, closure_members,
                               replay_derivation, replay_witness, simulates,
                               verify_affine_closure, verify_characterization)
-from conftest import (closure_members_brute_oracle, closure_members_oracle,
+from conftest import (IsoMatcherOracle, closure_members_brute_oracle, closure_members_oracle,
                       coset_construction_oracle, random_local_algebra)
 
 SMALL = SearchBounds(1, 1)
@@ -35,16 +36,16 @@ def test_closure_members_incomplete_past_table_cap():
     assert cut.members == within.members
 
 
-def test_iso_matcher_lifts_iso_cap_to_the_size_compared(rng):
+def test_isomorphism_lifts_iso_cap_to_the_size_compared(rng):
     # 12 states is above the default iso_cap of 10, and 12 is no prime
-    # power, so the ladder reaches the backtracking search; the matcher
+    # power, so the ladder reaches the backtracking search; the ladder
     # raises the gate itself and returns the lex-least witness
     a = random_local_algebra(rng, 12)
     sigma = list(range(12))
     rng.shuffle(sigma)
     b = _relabeled_table(a, sigma)
     assert a.table != b.table
-    witness = _IsoMatcher(DEFAULT_CAPS).find(a, b)
+    witness = _isomorphism(a, b, DEFAULT_CAPS)
     assert witness == are_isomorphic(a, b, Caps(iso_cap=12))
     assert _bijection_conjugates(a, b, witness)
     with pytest.raises(CapExceeded):
@@ -56,7 +57,103 @@ def test_equal_tables_of_different_shapes_are_not_isomorphic():
     a, b = LocalAlgebra(8, 0, table), LocalAlgebra(2, 1, table)
     assert ca_core.algebra_fingerprint(a) != ca_core.algebra_fingerprint(b)
     assert are_isomorphic(a, b) is None
-    assert _IsoMatcher(DEFAULT_CAPS).find(a, b) is None
+    assert _isomorphism(a, b, DEFAULT_CAPS) is None
+
+
+def _ladder_pairs(rng):
+    """(rung, a, b) pairs that reach every rung of the ladder: relabelled
+    F_2^2 and F_3 affine tables (every permutation of their states is an
+    affine map, so both tables fit), relabelled tables that fit no affine
+    form, equal tables, and tables whose fingerprints differ."""
+    for _ in range(5):
+        for p, d in ((2, 2), (3, 1)):
+            a = to_table(_random_affine(rng, p, d))
+            yield "affine", a, _relabeled_table(a, rng.sample(range(a.m), a.m))
+        for m in (3, 4):
+            a = random_local_algebra(rng, m)
+            yield "search", a, _relabeled_table(a, rng.sample(range(m), m))
+        yield "equal", a, LocalAlgebra(a.m, a.r, a.table)
+        yield "fingerprint", a, random_local_algebra(rng, a.m)
+    a = random_local_algebra(rng, 12)  # above the default iso_cap
+    yield "search", a, _relabeled_table(a, rng.sample(range(12), 12))
+
+
+def test_isomorphism_matches_the_ladder_oracle(rng):
+    reached = set()
+    for rung, a, b in _ladder_pairs(rng):
+        witness = _isomorphism(a, b, DEFAULT_CAPS)
+        assert witness == IsoMatcherOracle(DEFAULT_CAPS).find(a, b)
+        forms = affine_ca._affine_form(a), affine_ca._affine_form(b)
+        if rung == "affine":
+            assert witness == affine_ca.affine_isomorphism(*forms, DEFAULT_CAPS) is not None
+        elif rung == "search":
+            assert forms == (None, None)
+            assert witness == are_isomorphic(a, b, Caps(iso_cap=a.m)) is not None
+        elif rung == "equal":
+            assert a is not b and witness == tuple(range(a.m))
+        else:
+            assert ca_core.algebra_fingerprint(a) != ca_core.algebra_fingerprint(b)
+            assert witness is None
+        assert witness is None or _bijection_conjugates(a, b, witness)
+        reached.add(rung)
+    assert reached == {"affine", "search", "equal", "fingerprint"}
+
+
+def test_affine_form_is_the_fit_over_the_least_prime(rng):
+    tables = [to_table(_random_affine(rng, p, d)) for p, d in ((2, 1), (2, 2), (3, 1), (2, 3))]
+    tables += [random_local_algebra(rng, m) for m in (2, 3, 4, 5, 6, 8, 9, 12)]
+    fitted = 0
+    for algebra in tables:
+        p = smallest_prime_factor(algebra.m)
+        expected = fit_affine(algebra, p) if _dimension_over(algebra.m, p) else None
+        assert affine_ca._affine_form(algebra) == expected
+        fitted += expected is not None
+    assert fitted >= 4
+
+
+def _count_fits(monkeypatch):
+    """Record the algebra of every `affine_ca.fit_affine` call."""
+    fitted = []
+    fit = affine_ca.fit_affine
+
+    def counted(algebra, p):
+        fitted.append(algebra)
+        return fit(algebra, p)
+
+    monkeypatch.setattr(affine_ca, "fit_affine", counted)
+    return fitted
+
+
+def test_closure_and_affine_report_fit_no_member_twice(monkeypatch):
+    # the ladder fits a member of ECA 105's closure while it deduplicates
+    # (ECA 150's members all match by value, with no fit); the report's
+    # direct fit then reads the same memo
+    rule, bounds = fit_affine(eca(105), 2), SearchBounds(2, 2, 16)
+    fitted = _count_fits(monkeypatch)
+    inventory = closure_members(eca(105), bounds)
+    in_ladder = list(fitted)
+    assert verify_affine_closure(rule, bounds).passed
+    members = [member.algebra for member in inventory.members]
+    assert any(a in members for a in in_ladder)
+    assert all(sum(a == member for a in fitted) <= 1 for member in members)
+
+
+def test_simulates_fits_an_equal_simulator_once(monkeypatch):
+    simulator, target = eca(150), product([eca(150), eca(150)])
+    fitted = _count_fits(monkeypatch)
+    assert simulates(target, simulator).is_yes
+    assert simulates(target, LocalAlgebra(2, 1, simulator.table)).is_yes
+    assert sum(a == simulator for a in fitted) == 1
+
+
+def test_affine_form_memo_drops_a_collected_algebra():
+    algebra = LocalAlgebra(2, 1, eca(150).table)
+    copy = LocalAlgebra(2, 1, eca(150).table)
+    assert affine_ca._affine_form(algebra) is not None
+    assert copy in affine_ca._AFFINE_FORMS
+    del algebra
+    gc.collect()
+    assert copy not in affine_ca._AFFINE_FORMS
 
 
 def test_closure_of_singleton():
@@ -169,6 +266,21 @@ def test_closure_with_capped_congruence_enumeration(monkeypatch):
     inventory = closure_members(eca(9), bounds, caps)
     assert calls["capped"] and not inventory.complete
     assert _outcome(inventory) == _outcome(closure_members_oracle(eca(9), bounds, caps))
+
+
+@pytest.mark.parametrize("table_cap, top", [(64, 2), (4096, 4)])
+@pytest.mark.parametrize("bounds", [(10**5, 2), (2, 10**5), (10**5, 10**5), (10**5, 2, 8)])
+def test_closure_with_huge_bounds_is_the_closure_clipped_to_the_table_cap(table_cap, top,
+                                                                          bounds):
+    # ECA 90's products of exponent total above `top` exceed table_cap,
+    # so huge bounds search exactly the clipped ones, and stay incomplete
+    # where a product of total top + 1 lies within them
+    n_max, k_max, *size_cap = bounds
+    caps = Caps(table_cap=table_cap)
+    inventory = closure_members(eca(90), SearchBounds(*bounds), caps)
+    oracle = closure_members_oracle(
+        eca(90), SearchBounds(min(n_max, top), min(k_max, top), *size_cap), caps)
+    assert (inventory.members, inventory.complete) == (oracle.members, oracle.complete)
 
 
 def test_simulates_singleton_always():
