@@ -120,6 +120,12 @@ class LocalAlgebra:
     def _fingerprint(self) -> tuple:
         return (self.m, self.r, tuple(sorted(self._signatures)))
 
+    @functools.cached_property
+    def _byte_table(self) -> bytes:
+        """The table padded to the 256 bytes of a `bytes.translate` table;
+        only read when it has at most 256 entries."""
+        return bytes(self.table) + bytes(256 - len(self.table))
+
     @staticmethod
     def from_function(m: int, r: int, fn: Callable[..., int]) -> "LocalAlgebra":
         arity = 2 * r + 1
@@ -204,17 +210,39 @@ def unravel(algebra: LocalAlgebra, word: Sequence[int], iterations: int = 1) -> 
     return tuple(word)
 
 
-def _unravel_pass(algebra: LocalAlgebra, word: Sequence[int]) -> list[int]:
+# the shortest word that _unravel_pass reads as bytes: below it the
+# per-cell loop is faster
+_BYTES_PASS_MIN = 24
+
+
+def _unravel_pass(algebra: LocalAlgebra, word: Sequence[int]) -> Sequence[int]:
     """One unravelling pass, unchecked: the caller has checked that every
-    state is in range and that the word has at least 2r+1 cells."""
+    state is in range and that the word has at least 2r+1 cells.
+
+    A word of at least _BYTES_PASS_MIN cells under a table of at most 256
+    entries is read as one integer, one byte per cell, leftmost cell
+    lowest, and its image comes back as bytes: every cell's window index
+    is summed at once, one position per shift, and the rule is read off
+    by one `bytes.translate`.  No byte carries into the next, since each
+    partial index is below m^(2r+1) <= 256.  Any other word takes a
+    per-cell loop and comes back as a list.
+    """
     m, table = algebra.m, algebra.table
-    arity = algebra.arity
-    window = m ** (arity - 1)
+    context = 2 * algebra.r  # the cells of a window after its first
+    if len(word) >= _BYTES_PASS_MIN and len(table) <= 256:
+        cells = len(word) - context
+        x = int.from_bytes(bytes(word), "little")
+        lanes = (1 << 8 * cells) - 1
+        idx = 0
+        for pos in range(context + 1):
+            idx = idx * m + ((x >> 8 * pos) & lanes)
+        return idx.to_bytes(cells, "little").translate(algebra._byte_table)
+    window = len(table) // m  # m^(2r)
     out = []
     idx = 0
-    for x in word[:arity - 1]:
+    for x in word[:context]:
         idx = idx * m + x
-    for x in word[arity - 1:]:
+    for x in word[context:]:
         idx = (idx % window) * m + x
         out.append(table[idx])
     return out
@@ -407,19 +435,27 @@ def evolve(algebra: LocalAlgebra, word: Sequence[int], background: int = 0,
     backgrounds = [background]
     for _ in range(steps):
         backgrounds.append(diagonal[backgrounds[-1]])
+    # rows are kept as bytes between steps when every state fits in one;
+    # each becomes a tuple once, and row 0 keeps the word as given
+    pack = bytes if m <= 256 else tuple
     if mode == "cyclic":
-        rows = [word]
         n = len(word)
+        laps = 2 * -(-r // n) + 1  # enough copies of the ring for r cells either side
+        start = laps // 2 * n - r
+        ring = pack(word)
+        rows = [word]
         for _ in range(steps):
-            prev = rows[-1]
-            rows.append(tuple(_unravel_pass(algebra, [prev[i % n] for i in range(-r, n + r)])))
+            ring = pack(_unravel_pass(algebra, (ring * laps)[start:start + n + 2 * r]))
+            rows.append(tuple(ring))
         return SpaceTimeDiagram(m, tuple(rows), 0, tuple(backgrounds), "cyclic")
-    windows = [word]
-    for b in backgrounds[:-1]:
-        pad = (b,) * (2 * r)
-        windows.append(tuple(_unravel_pass(algebra, pad + windows[-1] + pad)))
-    rows = [(b,) * ((steps - t) * r) + win + (b,) * ((steps - t) * r)
-            for t, (win, b) in enumerate(zip(windows, backgrounds))]
+    edge = (background,) * (steps * r)
+    rows = [edge + word + edge]
+    window = pack(word)
+    for t in range(1, steps + 1):
+        pad = pack(backgrounds[t - 1:t]) * (2 * r)
+        window = pack(_unravel_pass(algebra, pad + window + pad))
+        edge = pack(backgrounds[t:t + 1]) * ((steps - t) * r)
+        rows.append(tuple(edge + window + edge))
     return SpaceTimeDiagram(m, tuple(rows), -steps * r, tuple(backgrounds), "background")
 
 
@@ -887,11 +923,13 @@ def check_translation(a: LocalAlgebra, b: LocalAlgebra, state_map: dict[int, int
     if steps < 0:
         raise ValueError("iteration count must be nonnegative")
 
+    to_target = images.__getitem__  # the map on source states, as a list
+
     def commutes(word: Word) -> bool:
-        image, mapped = word, [mapping[x] for x in word]
+        image, mapped = word, list(map(to_target, word))
         for _ in range(steps):
             image, mapped = _unravel_pass(source, image), _unravel_pass(target, mapped)
-        return [mapping[x] for x in image] == mapped
+        return list(map(to_target, image)) == list(mapped)  # either pass may return bytes
 
     drawn = None if source.m ** width <= 65536 else sample
     if drawn is None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import sys
 from dataclasses import asdict, replace
 from typing import Callable, Sequence
@@ -244,8 +245,10 @@ def render_pgm(diagram: SpaceTimeDiagram) -> str:
     scale = diagram.m - 1
     grays = [str((255 * x) // scale if scale else 0) for x in range(diagram.m)]
     lines = ["P2", f"{width} {height}", "255"]
-    for row in diagram.rows:
-        lines.append(" ".join(map(grays.__getitem__, row)))
+    if width < 2:  # itemgetter needs an index, and returns one bare value for one
+        lines.extend(" ".join(map(grays.__getitem__, row)) for row in diagram.rows)
+    else:
+        lines.extend(" ".join(operator.itemgetter(*row)(grays)) for row in diagram.rows)
     return "\n".join(lines) + "\n"
 
 

@@ -53,7 +53,18 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"modulus {p} is not prime")
 
 
+_STATES = bytes(range(256))
+
+
 def _all_in_range(values: Sequence[int], bound: int) -> bool:
+    # a tuple or list against a byte-sized bound is read as bytes, which
+    # raises on any entry that is not an int in 0..255; bytes(5) and an
+    # array's raw bytes would pass, hence the exact types
+    if type(values) in (tuple, list) and 1 <= bound <= 256:
+        try:
+            return not bytes(values).translate(None, _STATES[:bound])
+        except (TypeError, ValueError):
+            return False
     try:  # any float entry, even a 1.0 that set() merges into 1, makes the sum a float
         operator.index(sum(values))
         distinct = set(values)
@@ -70,6 +81,9 @@ def first_out_of_range(values: Sequence[int], bound: int) -> int | None:
     integer (a float entry, even 1.0, makes it a float; None or a string
     makes it fail) and its distinct entries lie within the bounds.  No
     set of `bound` elements is built, so any prime bound costs the same.
+    A tuple or list under a bound of at most 256 is instead converted to
+    bytes, which fails on any other entry, and the states below the bound
+    are deleted from it by one `bytes.translate`.
     Only a failing list is scanned in order, with the same test on each
     entry.
     """

@@ -12,7 +12,7 @@ from casim import affine_ca, ca_core, simulation
 from casim.caps import DEFAULT_CAPS, CapExceeded, require
 from casim.ca_core import (Congruence, LocalAlgebra, SpaceTimeDiagram, TranslationCheck,
                            are_isomorphic, canonical_partition, decode_word, encode_word,
-                           iterative_power, product, unravel, unpack)
+                           iterative_power, product, unpack)
 from casim.fp_linalg import FpMatrix, Subspace, invariant_closure, is_prime, smallest_prime_factor
 from casim.simulation import ClosureInventory, ClosureMember, Derivation, _Powers
 
@@ -99,12 +99,31 @@ def product_componentwise_oracle(factors):
                  for nb in itertools.product(range(len(states)), repeat=factors[0].arity))
 
 
+def unravel_apply_oracle(algebra, word, iterations=1):
+    """`ca_core.unravel` as one `algebra.apply` per window, with the same
+    checks: a nonnegative count, every state an int in range (the first
+    bad one named) and at least 2*iterations*r + 1 cells."""
+    if iterations < 0:
+        raise ValueError("iteration count must be nonnegative")
+    m, r, k = algebra.m, algebra.r, algebra.arity
+    word = tuple(word)
+    for x in word:
+        if not (isinstance(x, int) and 0 <= x < m):
+            raise ValueError(f"state {x} out of range for m={m}")
+    if len(word) < 2 * iterations * r + 1:
+        raise ValueError(
+            f"word of length {len(word)} too short for {iterations} passes of radius {r}")
+    for _ in range(iterations):
+        word = tuple(algebra.apply(word[i:i + k]) for i in range(len(word) - k + 1))
+    return word
+
+
 def iterative_power_unravel_oracle(algebra, n):
     """The n-th power's table built block neighborhood by block
     neighborhood: unpack the 2r+1 blocks into cells, unravel n times and
     encode the n cells left."""
     m = algebra.m
-    return tuple(encode_word(unravel(algebra, unpack(nb, n, m), n), m)
+    return tuple(encode_word(unravel_apply_oracle(algebra, unpack(nb, n, m), n), m)
                  for nb in itertools.product(range(m ** n), repeat=algebra.arity))
 
 
@@ -602,7 +621,8 @@ def first_out_of_range_oracle(values, bound):
 
 def evolve_unravel_oracle(algebra, word, background=0, steps=0, mode="background",
                           caps=DEFAULT_CAPS):
-    """`ca_core.evolve` with one checking `unravel` call per step."""
+    """`ca_core.evolve` with one checking `unravel_apply_oracle` call per
+    step."""
     m, r = algebra.m, algebra.r
     word = tuple(word)
     if not word:
@@ -628,11 +648,12 @@ def evolve_unravel_oracle(algebra, word, background=0, steps=0, mode="background
         n = len(word)
         for _ in range(steps):
             prev = rows[-1]
-            rows.append(unravel(algebra, [prev[i % n] for i in range(-r, n + r)]))
+            rows.append(unravel_apply_oracle(algebra, [prev[i % n] for i in range(-r, n + r)]))
         return SpaceTimeDiagram(m, tuple(rows), 0, tuple(backgrounds), "cyclic")
     windows = [word]
     for b in backgrounds[:-1]:
-        windows.append(unravel(algebra, (b,) * (2 * r) + windows[-1] + (b,) * (2 * r)))
+        pad = (b,) * (2 * r)
+        windows.append(unravel_apply_oracle(algebra, pad + windows[-1] + pad))
     rows = [(b,) * ((steps - t) * r) + win + (b,) * ((steps - t) * r)
             for t, (win, b) in enumerate(zip(windows, backgrounds))]
     return SpaceTimeDiagram(m, tuple(rows), -steps * r, tuple(backgrounds), "background")
@@ -641,7 +662,7 @@ def evolve_unravel_oracle(algebra, word, background=0, steps=0, mode="background
 def check_translation_unravel_oracle(a, b, state_map, kind, width=7, steps=1, sample=512,
                                      seed=0):
     """`ca_core.check_translation` on a valid state map, with both sides
-    of every window unravelled by the checking `unravel`: the first word,
+    of every window unravelled by `unravel_apply_oracle`: the first word,
     in the same enumeration or seeded sample, on which they differ."""
     source, target = (a, b) if kind == "embed" else (b, a)
     mapping = dict(enumerate(state_map)) if not isinstance(state_map, dict) else dict(state_map)
@@ -652,8 +673,8 @@ def check_translation_unravel_oracle(a, b, state_map, kind, width=7, steps=1, sa
         rng = random.Random(seed)
         words = (tuple(rng.randrange(source.m) for _ in range(width)) for _ in range(drawn))
     for word in words:
-        if (tuple(mapping[x] for x in unravel(source, word, steps))
-                != unravel(target, tuple(mapping[x] for x in word), steps)):
+        if (tuple(mapping[x] for x in unravel_apply_oracle(source, word, steps))
+                != unravel_apply_oracle(target, tuple(mapping[x] for x in word), steps)):
             return TranslationCheck(False, word, drawn)
     return TranslationCheck(True, None, drawn)
 

@@ -22,7 +22,8 @@ from conftest import (check_translation_unravel_oracle, evolve_unravel_oracle,
                       iterative_power_unravel_oracle, join_closure_oracle, join_labels_oracle,
                       low_image_algebra, outputs_on_oracle, pack,
                       principal_congruence_stack_oracle, product_componentwise_oracle,
-                      random_local_algebra, set_partitions, wolfram_number)
+                      random_local_algebra, set_partitions, unravel_apply_oracle,
+                      wolfram_number)
 
 
 def random_lattice_algebra(rng):
@@ -219,6 +220,28 @@ def test_unravel_examples():
     assert unravel(eca(90), (True, False, True, True)) == unravel(eca(90), (1, 0, 1, 1))
 
 
+def test_unravel_matches_apply_oracle_on_both_routes(rng):
+    """Either side of both switches of the bytes route: tables of 216, 256
+    and one entry take it from _BYTES_PASS_MIN cells on, tables of 257
+    and 343 entries never; words of bools too."""
+    shortest = ca_core._BYTES_PASS_MIN
+    for m, r in ((6, 1), (256, 0), (257, 0), (7, 1), (1, 1), (1, 3), (2, 3)):
+        algebra = random_local_algebra(rng, m, r)
+        for length in (2 * r + 1, shortest - 1, shortest, 700):
+            words = [tuple(rng.randrange(m) for _ in range(length))]
+            if m > 1:
+                words.append(tuple(rng.random() < 0.5 for _ in range(length)))
+            for word in words:
+                for iterations in (1, 2, 5):
+                    if length >= 2 * iterations * r + 1:
+                        assert (unravel(algebra, word, iterations)
+                                == unravel_apply_oracle(algebra, word, iterations))
+                b = rng.randrange(m)
+                for mode in ("background", "cyclic"):
+                    assert (evolve(algebra, word, b, 3, mode)
+                            == evolve_unravel_oracle(algebra, word, b, 3, mode))
+
+
 def test_unravel_composes(rng):
     for _ in range(20):
         algebra = random_local_algebra(rng, rng.randrange(2, 4))
@@ -391,17 +414,19 @@ def test_evolve_cyclic_matches_background_interior(rng):
 
 
 def test_evolve_cyclic_matches_per_cell_oracle(rng):
-    for r in range(3):
-        for n in range(1, 8):  # includes rings shorter than 2r+1
-            algebra = random_local_algebra(rng, rng.randrange(2, 4), r)
-            ring = tuple(rng.randrange(algebra.m) for _ in range(n))
-            rows = [ring]
-            for _ in range(4):
-                prev = rows[-1]
-                rows.append(tuple(algebra.apply([prev[(i + k) % n] for k in range(-r, r + 1)])
-                                  for i in range(n)))
-            diagram = evolve(algebra, ring, 0, 4, "cyclic")
-            assert diagram.rows == tuple(rows)
+    # rings shorter than 2r+1 and than r, and rings read as bytes
+    shortest = ca_core._BYTES_PASS_MIN
+    for r, n in ([(r, n) for r in range(3) for n in range(1, 8)]
+                 + [(3, 1), (3, 2), (1, shortest - 2), (2, shortest), (1, 40)]):
+        algebra = random_local_algebra(rng, rng.randrange(2, 4) if r < 3 else 2, r)
+        ring = tuple(rng.randrange(algebra.m) for _ in range(n))
+        rows = [ring]
+        for _ in range(4):
+            prev = rows[-1]
+            rows.append(tuple(algebra.apply([prev[(i + k) % n] for k in range(-r, r + 1)])
+                              for i in range(n)))
+        diagram = evolve(algebra, ring, 0, 4, "cyclic")
+        assert diagram.rows == tuple(rows)
 
 
 def test_evolve_matches_unravel_oracle(rng):
@@ -429,6 +454,12 @@ def test_evolve_validation():
         with pytest.raises(ValueError, match="^step count must be nonnegative$"):
             evolve(eca(110), (0, 1), 0, -1, mode)
     assert evolve(eca(110), (True, False), True, 2) == evolve(eca(110), (1, 0), 1, 2)
+    # row 0 is the word as given, bools and all, in either mode
+    row = evolve(eca(90), (True, False, True), 0, 2).rows[0]
+    assert row == (0, 0, 1, 0, 1, 0, 0) and [type(x) for x in row[2:5]] == [bool] * 3
+    assert evolve(eca(90), (True, False, True), 0, 2, "cyclic").rows[0] == (True, False, True)
+    assert all(type(x) is bool
+               for x in evolve(eca(90), (True, False, True), 0, 2, "cyclic").rows[0])
 
 
 def test_evolve_gated_on_table_cap():
@@ -875,7 +906,11 @@ def test_check_translation_matches_unravel_oracle(rng, z4_rule):
              (eca(110), eca(110), [0, 1], "embed", 7, 2),
              (eca(90), z4_rule, {0: 0, 1: 2}, "embed", 7, 1),
              (eca(90), z4_rule, {0: 0, 1: 2}, "embed", 17, 2),  # 2^17 words: sampled
-             (eca(30), z4_rule, [1, 3], "embed", 17, 0)]
+             (eca(30), z4_rule, [1, 3], "embed", 17, 0),
+             # windows long enough for the bytes route on both sides
+             (eca(90), z4_rule, {0: 0, 1: 2}, "embed", 30, 3),
+             (eca(150), z4_rule, [0, 1, 0, 1], "project", 30, 2),
+             (eca(30), z4_rule, [1, 3], "embed", 30, 1)]
     for _ in range(12):  # random maps, mostly refuted
         r = rng.randrange(3)
         small = random_local_algebra(rng, 2, r)

@@ -118,8 +118,10 @@ def test_table_readers_name_bad_input():
 def _oracle_diagrams():
     """The benchmark's CLI diagrams (300 steps of ECAs 30, 90, 110 and 150
     and of four F_3 rules, each from one of its words), one cyclic
-    diagram, and diagrams of 1, 36 and 37 states: PGM scale 0 and either
-    side of the 36-glyph switch."""
+    diagram, diagrams of 1, 36 and 37 states: PGM scale 0 and either
+    side of the 36-glyph switch, rings of width 1 and 2: either side of
+    the PGM itemgetter switch, and diagrams of 256 and 257 states at
+    radius 0: either side of the bytes rows."""
     words = ("1", "00111000", "10110101", "0101")
     rules = [eca(n) for n in (30, 90, 110, 150)]
     rules += [to_table(canonical_additive(3, a))
@@ -132,6 +134,11 @@ def _oracle_diagrams():
     for m in (36, 37):
         rule = random_local_algebra(rng, m, 0)
         yield evolve(rule, tuple(rng.randrange(m) for _ in range(2 * m)), rng.randrange(m), 20)
+    for ring in ((1,), (1, 0)):
+        yield evolve(eca(30), ring, 0, 6, "cyclic")
+    for m in (256, 257):
+        rule = random_local_algebra(rng, m, 0)
+        yield evolve(rule, tuple(rng.randrange(m) for _ in range(40)), rng.randrange(m), 20)
 
 
 def test_renders_match_oracles():

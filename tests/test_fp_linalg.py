@@ -1,3 +1,4 @@
+import collections
 import itertools
 import operator
 import random
@@ -193,19 +194,29 @@ def test_matrix_validation_names_the_first_bad_entry():
 
 
 def test_first_out_of_range_matches_oracle(rng):
-    """Random lists of in-range, negative, too large, bool and
-    non-integer entries, including floats equal to a state."""
-    for bound in (1, 2, 3, 7, 10000019, 2 ** 31 - 1):
+    """Random lists and tuples of in-range, negative, too large, bool and
+    non-integer entries, including floats equal to a state, on either
+    side of the bytes route's 256 bound.  A namedtuple and an array('H'),
+    whose raw bytes would pass, take the other route, and a bare int
+    raises, as bytes(5) would not."""
+    Cells = collections.namedtuple("Cells", "a b c")
+    for bound in (1, 2, 3, 7, 255, 256, 257, 10000019, 2 ** 31 - 1):
         def draw():
             if rng.random() < 0.8:
                 return rng.randrange(bound)
             return rng.choice((-rng.randrange(1, 4), bound + rng.randrange(3), True, False,
-                               0.5, 0.0, 1.0, None))
+                               0.5, 0.0, 1.0, None, "a", 2 ** 70))
 
         for _ in range(200):
             values = [draw() for _ in range(rng.randrange(9))]
-            assert (fp_linalg.first_out_of_range(values, bound)
-                    == first_out_of_range_oracle(values, bound)), (values, bound)
+            for values in (values, tuple(values), Cells(draw(), draw(), draw()),
+                           array("H", (rng.choice((0, bound - 1, bound, 300)) % 65536
+                                       for _ in range(rng.randrange(5))))):
+                assert (fp_linalg.first_out_of_range(values, bound)
+                        == first_out_of_range_oracle(values, bound)), (values, bound)
+        for find in (fp_linalg.first_out_of_range, first_out_of_range_oracle):
+            with pytest.raises(TypeError):
+                find(5, bound)
 
 
 def test_subspace_join_and_coordinates():
