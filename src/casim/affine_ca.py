@@ -24,8 +24,8 @@ from typing import Sequence
 from . import ca_core
 from .ca_core import LocalAlgebra
 from .caps import DEFAULT_CAPS, Caps, require
-from .fp_linalg import (FpMatrix, Subspace, first_out_of_range, is_prime, nullspace_basis,
-                        smallest_prime_factor, solve)
+from .fp_linalg import (FpMatrix, Subspace, _check_prime, first_out_of_range, is_prime,
+                        nullspace_basis, smallest_prime_factor, solve)
 
 Vector = tuple[int, ...]
 
@@ -46,8 +46,7 @@ class AffineAlgebra:
     constant: Vector
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        _check_prime(self.p)
         if self.d < 0 or self.r < 0:
             raise ValueError("dimension and radius must be nonnegative")
         if self.d == 0:
@@ -116,8 +115,7 @@ class CanonicalAdditive:
     coefficients: Vector
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        _check_prime(self.p)
         if len(self.coefficients) != 2 * self.r + 1:
             raise ValueError("expected 2r+1 coefficients")
         if first_out_of_range(self.coefficients, self.p) is not None:
@@ -148,8 +146,7 @@ class CanonicalAdditive:
 
 def canonical_additive(p: int, coefficients: Sequence[int]) -> CanonicalAdditive:
     """The rule sum a_i x_i mod p; the 2r+1 coefficients fix the radius r."""
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    _check_prime(p)
     coefficients = tuple(x % p for x in coefficients)
     if len(coefficients) % 2 == 0:
         raise ValueError("coefficient count must be odd (positions -r..r)")
@@ -212,8 +209,7 @@ def fit_affine(algebra: LocalAlgebra, p: int) -> AffineAlgebra | None:
     most tables that are not affine already differ there.  Only the
     whole-table comparison accepts a fit.
     """
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    _check_prime(p)
     d = _dimension_over(algebra.m, p)
     if d is None:
         raise ValueError(f"state count {algebra.m} is not a power of {p}")
@@ -292,8 +288,7 @@ def is_affine_up_to_iso(algebra: LocalAlgebra, p: int,
     distinct states to 0 and 1 (GL is transitive on nonzero vectors),
     and those sigma come first in lexicographic order.
     """
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    _check_prime(p)
     d = _dimension_over(algebra.m, p)
     if d is None:
         return None

@@ -78,6 +78,7 @@ class LocalAlgebra:
         if self.r < 0:
             raise ValueError("radius must be nonnegative")
         size = len(self.table)
+        object.__setattr__(self, "table", tuple(self.table))  # one form, for == and hash
         # m >= 2 and 2r+1 >= size.bit_length() give m^(2r+1) > size; a count that
         # may pass 64 bits (a huge radius) is named, since computing it can hang
         if (self.m > 1 and self.arity >= size.bit_length()
@@ -514,9 +515,6 @@ class Congruence:
                 label[x] = k
         return label
 
-    def is_full(self) -> bool:
-        return len(self.blocks) == 1
-
     def __str__(self) -> str:
         return "|".join(",".join(str(x) for x in block) for block in self.blocks)
 
@@ -917,7 +915,7 @@ def check_translation(a: LocalAlgebra, b: LocalAlgebra, state_map: dict[int, int
         if bad not in mapping:
             raise ValueError(f"state map is not total: missing {bad}")
         raise ValueError(f"state map image {images[bad]} out of range")
-    if kind == "embed" and len(set(mapping.values())) != source.m:
+    if kind == "embed" and len(set(images)) != source.m:
         raise ValueError("embedding state maps must be injective")
 
     if steps < 0:

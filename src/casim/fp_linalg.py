@@ -56,11 +56,10 @@ def _check_prime(p: int) -> None:
 _STATES = bytes(range(256))
 
 
-def _all_in_range(values: Sequence[int], bound: int) -> bool:
-    # a tuple or list against a byte-sized bound is read as bytes, which
-    # raises on any entry that is not an int in 0..255; bytes(5) and an
-    # array's raw bytes would pass, hence the exact types
-    if type(values) in (tuple, list) and 1 <= bound <= 256:
+def _all_in_range(values: tuple[int, ...], bound: int) -> bool:
+    # against a byte-sized bound the tuple is read as bytes, which raises
+    # on any entry that is not an int in 0..255
+    if 1 <= bound <= 256:
         try:
             return not bytes(values).translate(None, _STATES[:bound])
         except (TypeError, ValueError):
@@ -73,20 +72,22 @@ def _all_in_range(values: Sequence[int], bound: int) -> bool:
     return not distinct or (min(distinct) >= 0 and max(distinct) < bound)
 
 
-def first_out_of_range(values: Sequence[int], bound: int) -> int | None:
+def first_out_of_range(values: Iterable[int], bound: int) -> int | None:
     """Position of the first entry of `values` that is not an integer in
     0..bound-1, or None: a position, so that a None entry cannot pass.
 
-    True and False count as 1 and 0.  A list passes when its sum is an
-    integer (a float entry, even 1.0, makes it a float; None or a string
-    makes it fail) and its distinct entries lie within the bounds.  No
-    set of `bound` elements is built, so any prime bound costs the same.
-    A tuple or list under a bound of at most 256 is instead converted to
-    bytes, which fails on any other entry, and the states below the bound
-    are deleted from it by one `bytes.translate`.
-    Only a failing list is scanned in order, with the same test on each
-    entry.
+    `values` is read once, as a tuple (a tuple is not copied), so an
+    iterator is tested on everything it holds.  True and False count as
+    1 and 0.  The tuple passes when its sum is an integer (a float entry,
+    even 1.0, makes it a float; None or a string makes it fail) and its
+    distinct entries lie within the bounds.  No set of `bound` elements
+    is built, so any prime bound costs the same.  Under a bound of at
+    most 256 the tuple is instead converted to bytes, which fails on any
+    other entry, and the states below the bound are deleted from it by
+    one `bytes.translate`.  Only a failing tuple is scanned in order,
+    with the same test on each entry.
     """
+    values = tuple(values)
     if _all_in_range(values, bound):
         return None
     return next((i for i, x in enumerate(values) if not _all_in_range((x,), bound)), None)

@@ -45,11 +45,6 @@ class SearchBounds:
         if self.size_cap is not None and self.size_cap < 1:
             raise ValueError(f"search bounds need size_cap >= 1, got {self.size_cap}")
 
-    def effective_size_cap(self, m: int) -> int:
-        if self.size_cap is not None:
-            return self.size_cap
-        return (m ** self.n_max) ** self.k_max
-
 
 DEFAULT_BOUNDS = SearchBounds()
 

@@ -440,12 +440,18 @@ class IsoMatcherOracle:
         return ca_core.are_isomorphic(a, b, self.caps.scaled_to(a.m))
 
 
+def size_cap_oracle(bounds, m):
+    """The largest product state count the closure oracles take: the
+    stated size cap, or every product within n_max and k_max."""
+    return bounds.size_cap if bounds.size_cap is not None else (m ** bounds.n_max) ** bounds.k_max
+
+
 def closure_members_oracle(generator, bounds, caps=DEFAULT_CAPS):
     """`simulation.closure_members` as it was with three dedups, and
     without the inventory cache: an exact-table set for products,
     another for restrictions, and the member registry on every quotient,
     the discrete one included, matched by the ladder oracle."""
-    size_cap = bounds.effective_size_cap(generator.m)
+    size_cap = size_cap_oracle(bounds, generator.m)
     scaled = caps.scaled_to(size_cap)
     complete = True
     powers = _Powers(generator, caps)
@@ -521,7 +527,7 @@ def closure_members_brute_oracle(generator, bounds):
         for multiset in itertools.combinations_with_replacement(
                 range(1, bounds.n_max + 1), k):
             size = generator.m ** sum(multiset)
-            if size > bounds.effective_size_cap(generator.m):
+            if size > size_cap_oracle(bounds, generator.m):
                 continue
             if size > 8:
                 raise ValueError("the brute-force closure takes products of at most 8 states")

@@ -168,6 +168,14 @@ def test_table_validation():
     assert LocalAlgebra(2, 0, (False, True)) == LocalAlgebra(2, 0, (0, 1))
 
 
+def test_repr_spells_out_small_tables_only():
+    assert repr(eca(30)) == "LocalAlgebra(m=2, r=1, table=01111000)"
+    assert repr(LocalAlgebra(11, 0, tuple(range(11)))) == (
+        "LocalAlgebra(m=11, r=0, table=<11 entries>)")
+    assert repr(LocalAlgebra(2, 2, (0,) * 32)) == f"LocalAlgebra(m=2, r=2, table={'0' * 32})"
+    assert repr(LocalAlgebra(2, 3, (0,) * 128)) == "LocalAlgebra(m=2, r=3, table=<128 entries>)"
+
+
 def test_diagram_validation():
     def diagram(*rows):
         return SpaceTimeDiagram(2, rows, 0, (0,) * len(rows), "background")
@@ -411,6 +419,14 @@ def test_evolve_cyclic_matches_background_interior(rng):
         for t in range(steps + 1):
             for i in range(t, 5 - t):
                 assert cyclic.rows[t][i] == background.cell(t, i)
+
+
+def test_cyclic_diagram_window_and_cell():
+    diagram = evolve(eca(30), (0, 1, 1, 0, 1), steps=2, mode="cyclic")
+    assert diagram.rows == ((0, 1, 1, 0, 1), (0, 1, 0, 0, 1), (0, 1, 1, 1, 1))
+    # a cyclic row is its own window, and cells wrap around the ring
+    assert [diagram.window(t, 1) for t in range(3)] == list(diagram.rows)
+    assert [diagram.cell(1, i) for i in (-1, 0, 2, 5, 7, 12)] == [1, 0, 0, 0, 0, 0]
 
 
 def test_evolve_cyclic_matches_per_cell_oracle(rng):
@@ -896,6 +912,13 @@ def test_check_translation_identity_and_embed(z4_rule):
     assert check_translation(eca(90), z4_rule, {0: 0, 1: 2}, "embed", 7, 1)
     with pytest.raises(ValueError):
         check_translation(eca(90), z4_rule, [0, 0], "embed", 7, 1)
+    # injectivity is judged on the source's own states: a key outside
+    # them neither helps nor hides a collision
+    zeros = LocalAlgebra(3, 1, (0,) * 27)
+    for state_map in ({0: 0, 1: 0}, {0: 0, 1: 0, 2: 1}):
+        with pytest.raises(ValueError, match="^embedding state maps must be injective$"):
+            check_translation(eca(0), zeros, state_map, "embed")
+    assert check_translation(eca(0), zeros, {0: 0, 1: 2, 2: 1}, "embed")
 
 
 def test_check_translation_matches_unravel_oracle(rng, z4_rule):

@@ -409,6 +409,15 @@ def test_cmd_classify(monkeypatch, capsys):
     assert code == 0
     assert "left-witness -1" in out and "right-witness 0" in out
     assert "additive yes" in out
+    # F_3 (1,0,1) has a zero center coefficient, so it is not doubly bijective
+    _, rule, _ = run_cli(["canonical", "-p", "3", "-a", "1", "0", "1"], "",
+                         monkeypatch, capsys)
+    code, out, _ = run_cli(["classify"], rule, monkeypatch, capsys)
+    assert code == 0
+    assert out.endswith("capacity-class HSPfinXi(B) = PfinXi(B) + SING_r\n"
+                        "caveat center coefficient is zero: not doubly bijective, so "
+                        "membership is checked by bounded search instead of the exact "
+                        "procedure\n")
 
 
 def test_cmd_simulates(monkeypatch, capsys, tmp_path):

@@ -196,9 +196,10 @@ def test_matrix_validation_names_the_first_bad_entry():
 def test_first_out_of_range_matches_oracle(rng):
     """Random lists and tuples of in-range, negative, too large, bool and
     non-integer entries, including floats equal to a state, on either
-    side of the bytes route's 256 bound.  A namedtuple and an array('H'),
-    whose raw bytes would pass, take the other route, and a bare int
-    raises, as bytes(5) would not."""
+    side of the bytes route's 256 bound.  A namedtuple and an array('H')
+    are read as tuples, so they take the bytes route too; a one-shot
+    iterator (a fresh one per call) is tested on everything it holds;
+    and a bare int raises, as bytes(5) would not."""
     Cells = collections.namedtuple("Cells", "a b c")
     for bound in (1, 2, 3, 7, 255, 256, 257, 10000019, 2 ** 31 - 1):
         def draw():
@@ -214,6 +215,8 @@ def test_first_out_of_range_matches_oracle(rng):
                                        for _ in range(rng.randrange(5))))):
                 assert (fp_linalg.first_out_of_range(values, bound)
                         == first_out_of_range_oracle(values, bound)), (values, bound)
+                assert (fp_linalg.first_out_of_range(iter(values), bound)
+                        == first_out_of_range_oracle(iter(values), bound)), (values, bound)
         for find in (fp_linalg.first_out_of_range, first_out_of_range_oracle):
             with pytest.raises(TypeError):
                 find(5, bound)

@@ -283,6 +283,26 @@ def test_closure_with_huge_bounds_is_the_closure_clipped_to_the_table_cap(table_
     assert (inventory.members, inventory.complete) == (oracle.members, oracle.complete)
 
 
+def test_closure_cut_by_the_subalgebra_lattice_cap():
+    # ECA 0 has two subalgebras, {0} and {0, 1}: one is past lattice_cap 1
+    inventory = closure_members(eca(0), SMALL, Caps(lattice_cap=1))
+    assert not inventory.complete and inventory.members == ()
+
+
+def test_list_table_algebra_acts_as_its_tuple_twin():
+    listed = LocalAlgebra(2, 1, [0, 1, 1, 0, 1, 0, 0, 1])
+    assert listed == eca(150) and hash(listed) == hash(eca(150))
+    assert fit_affine(listed, 2) == fit_affine(eca(150), 2) is not None
+    bounds = SearchBounds(2, 2)
+    assert (_outcome(closure_members(listed, bounds))
+            == _outcome(closure_members_oracle(eca(150), bounds)))
+    assert ([c.blocks for c in enumerate_congruences(listed)]
+            == [c.blocks for c in enumerate_congruences(eca(150))])
+    for pair in ((eca(90), listed), (listed, eca(90)), (listed, listed)):
+        twins = [eca(150) if a is listed else a for a in pair]
+        assert simulates(*pair) == simulates(*twins)
+
+
 def test_simulates_singleton_always():
     for number in (0, 30, 110):
         verdict = simulates(singleton(1), eca(number))
@@ -312,6 +332,9 @@ def test_exact_path_incomparability():
     other = simulates(eca(150), eca(90), SearchBounds(2, 2, 8))
     assert other.outcome in ("no", "unknown")
     assert simulates(eca(60), eca(150)).is_no
+    three = LocalAlgebra.from_function(3, 1, lambda a, b, c: a + b + c)
+    no = simulates(three, eca(150))
+    assert no.is_no and no.reason.endswith("3 is not such a power")
 
 
 def test_exact_path_reflexive_and_power():
@@ -359,9 +382,10 @@ def test_size_spectrum_of_doubly_bijective_closure():
 
 def test_classify_canonical_cases():
     record = classify_canonical(canonical_additive(3, [0, 0, 0]))
-    assert record.kind == "constant"
+    assert record.kind == "constant" and record.describe() == "constant mappings class"
     record = classify_canonical(canonical_additive(3, [0, 1, 0]))
     assert record.kind == "projection" and record.coordinate == 0
+    assert record.describe() == "projection to coordinate 0 class"
     record = classify_canonical(canonical_additive(3, [0, 0, 2]))
     assert record.kind == "projection" and record.coordinate == 1
     record = classify_canonical(canonical_additive(3, [2, 1, 1]))
